@@ -27,9 +27,10 @@ import numpy as np
 from . import l2, lp
 from ._simplex import LPError, solve_lp
 from .generators import PermutationConfig, halton, primes, random_permutation
-from .linf_approx import TAConfig, cover_bounds, ta_improved
-from .linf_exact import _count_tensor, star_exact
-from .pointset import BudgetExceededError
+from .linf_approx import TAConfig, _best_ta, cover_bounds
+from .linf_exact import exact_method, star_exact
+from .pointset import (BudgetExceededError, _as_points, _count_tensor,
+                       _critical_corner_masks, _grid_axes)
 
 __all__ = [
     "DiscreteMeasure",
@@ -53,9 +54,7 @@ class DiscreteMeasure:
     probabilities: np.ndarray
 
     def __init__(self, atoms, probabilities, d: int | None = None):
-        a = np.asarray(atoms, dtype=np.float64)
-        if a.ndim == 1:
-            a = a.reshape(-1, 1) if d in (None, 1) else a.reshape(1, -1)
+        a = _as_points(atoms, d)
         p = np.asarray(probabilities, dtype=np.float64).reshape(-1)
         if a.shape[0] != p.shape[0]:
             raise ValueError("one probability per atom required")
@@ -85,17 +84,8 @@ class DiscreteMeasure:
 
     @classmethod
     def uniform(cls, atoms, d: int | None = None) -> "DiscreteMeasure":
-        a = np.asarray(atoms, dtype=np.float64)
-        if a.ndim == 1:
-            a = a.reshape(-1, 1) if d in (None, 1) else a.reshape(1, -1)
+        a = _as_points(atoms, d)
         return cls(a, np.full(a.shape[0], 1.0 / a.shape[0]))
-
-
-def _union_axes(points: np.ndarray) -> tuple[list, list]:
-    d = points.shape[1]
-    plain = [np.unique(points[:, j]) for j in range(d)]
-    aug = [np.unique(np.append(points[:, j], 1.0)) for j in range(d)]
-    return plain, aug
 
 
 def _grid_budget_check(axes: list, budget: int, what: str) -> None:
@@ -121,7 +111,7 @@ def two_measure_star_disc(P: DiscreteMeasure, Q: DiscreteMeasure,
         raise ValueError("measures must share the dimension")
     pts = np.vstack([P.atoms, Q.atoms])
     w = np.concatenate([P.probabilities, -Q.probabilities])
-    plain, aug = _union_axes(pts)
+    plain, aug = _grid_axes(pts)
     _grid_budget_check(aug, budget, "two-measure distance")
     best = 0.0
     open_diff = _count_tensor(aug, pts, w, "open")
@@ -130,59 +120,6 @@ def two_measure_star_disc(P: DiscreteMeasure, Q: DiscreteMeasure,
     closed_diff = _count_tensor(plain, pts, w, "closed")
     best = max(best, float(np.max(np.abs(closed_diff))))
     return best
-
-
-def _critical_corner_masks(points: np.ndarray, plain: list, aug: list):
-    """Boolean tensors marking critical corners of the induced grids.
-
-    Open side (augmented grid): a corner is critical when in every coordinate
-    either the value is 1 or some point sits exactly at the value while lying
-    strictly inside the box in all other coordinates.  Closed side (plain
-    grid): some point sits at the value while lying weakly inside elsewhere.
-    """
-    d = points.shape[1]
-    shape_aug = tuple(len(a) for a in aug)
-    open_mask = np.ones(shape_aug, dtype=bool)
-    for j in range(d):
-        hit = np.zeros(shape_aug, dtype=np.int64)
-        idx = np.empty((points.shape[0], d), dtype=np.int64)
-        for k in range(d):
-            if k == j:
-                idx[:, k] = np.searchsorted(aug[k], points[:, k], side="left")
-            else:
-                idx[:, k] = np.searchsorted(aug[k], points[:, k], side="right")
-        ok = np.all(idx < np.array(shape_aug), axis=1)
-        # exact hit required in coordinate j
-        ok &= aug[j][np.minimum(idx[:, j], shape_aug[j] - 1)] == points[:, j]
-        if np.any(ok):
-            flat = np.ravel_multi_index(tuple(idx[ok].T), shape_aug)
-            np.add.at(hit.reshape(-1), flat, 1)
-        for ax in range(d):
-            if ax != j:
-                np.cumsum(hit, axis=ax, out=hit)
-        crit_j = hit > 0
-        # a coordinate at 1 needs no enlargement witness
-        sel = [slice(None)] * d
-        sel[j] = slice(shape_aug[j] - 1, shape_aug[j])
-        crit_j[tuple(sel)] = True
-        open_mask &= crit_j
-
-    shape_plain = tuple(len(a) for a in plain)
-    closed_mask = np.ones(shape_plain, dtype=bool)
-    for j in range(d):
-        hit = np.zeros(shape_plain, dtype=np.int64)
-        idx = np.empty((points.shape[0], d), dtype=np.int64)
-        for k in range(d):
-            idx[:, k] = np.searchsorted(plain[k], points[:, k], side="left")
-        ok = np.all(idx < np.array(shape_plain), axis=1)
-        if np.any(ok):
-            flat = np.ravel_multi_index(tuple(idx[ok].T), shape_plain)
-            np.add.at(hit.reshape(-1), flat, 1)
-        for ax in range(d):
-            if ax != j:
-                np.cumsum(hit, axis=ax, out=hit)
-        closed_mask &= hit > 0
-    return open_mask, closed_mask
 
 
 def optimal_inner_weights(P: DiscreteMeasure, support_idx,
@@ -200,7 +137,7 @@ def optimal_inner_weights(P: DiscreteMeasure, support_idx,
         raise ValueError("support indices out of range")
     Y = P.atoms[support_idx]
     m = len(support_idx)
-    plain, aug = _union_axes(P.atoms)
+    plain, aug = _grid_axes(P.atoms)
     _grid_budget_check(aug, budget, "inner weight optimization")
 
     open_mask, closed_mask = _critical_corner_masks(P.atoms, plain, aug)
@@ -274,6 +211,8 @@ def _measure_on(P: DiscreteMeasure, support_idx: list, q: np.ndarray) -> Discret
 
 def _inner_distance(P: DiscreteMeasure, support_idx: list, exact_inner: bool,
                     budget: int) -> tuple[np.ndarray, float]:
+    """(q, t) on the support sorted increasingly; q follows that order."""
+    support_idx = sorted(support_idx)
     if exact_inner:
         q, t = optimal_inner_weights(P, support_idx, budget)
     else:
@@ -289,8 +228,6 @@ def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
         raise ValueError("need 1 <= n <= number of atoms")
     chosen: list[int] = []
     trace = []
-    q = np.array([1.0])
-    dist = np.inf
     while len(chosen) < n:
         best = None
         for cand in range(P.n):
@@ -304,9 +241,7 @@ def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
         dist, q = best[1], best[2]
         trace.append((len(chosen), dist))
     idx = sorted(chosen)
-    q_final, dist_final = _inner_distance(P, idx, exact_inner, budget)
-    return ReductionResult(_measure_on(P, idx, q_final), tuple(idx),
-                           dist_final, tuple(trace))
+    return ReductionResult(_measure_on(P, idx, q), tuple(idx), dist, tuple(trace))
 
 
 def backward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
@@ -316,6 +251,8 @@ def backward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
         raise ValueError("need 1 <= n <= number of atoms")
     chosen = list(range(P.n))
     trace = [(P.n, 0.0)]
+    if n == P.n:  # nothing to remove, but the weights still come from a solve
+        q, dist = _inner_distance(P, chosen, exact_inner, budget)
     while len(chosen) > n:
         best = None
         for cand in chosen:
@@ -324,11 +261,9 @@ def backward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
             if best is None or t < best[1] - 1e-15:
                 best = (cand, t, qc)
         chosen.remove(best[0])
-        trace.append((len(chosen), best[1]))
-    idx = sorted(chosen)
-    q_final, dist_final = _inner_distance(P, idx, exact_inner, budget)
-    return ReductionResult(_measure_on(P, idx, q_final), tuple(idx),
-                           dist_final, tuple(trace))
+        dist, q = best[1], best[2]
+        trace.append((len(chosen), dist))
+    return ReductionResult(_measure_on(P, chosen, q), tuple(chosen), dist, tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +400,14 @@ def quality_report(sets: dict, measures: list, exact_budget: int = 50_000_000,
                     try:
                         res = star_exact(X, exact_budget)
                         value = res.value
-                        method = {1: "1d", 2: "2d", 3: "3d"}.get(X.d, "dem")
+                        method = exact_method(X.d)
                     except BudgetExceededError:
                         cell_seed = seed
-                        best = -np.inf
-                        for r in range(restarts):
-                            cfg = TAConfig(ta_iterations, seed=seed + r)
-                            best = max(best, ta_improved(X, cfg).lower)
+                        lower = _best_ta(X, TAConfig(ta_iterations, seed=seed), restarts).lower
                         try:
                             upper = cover_bounds(X, delta).upper
                         except BudgetExceededError:
                             upper = 1.0
-                        lower = best
                         method = "ta-lower/cover-upper"
                 elif measure == "star-l2":
                     value = l2.warnock_star_l2_sq(X)
@@ -496,11 +427,8 @@ def quality_report(sets: dict, measures: list, exact_budget: int = 50_000_000,
                     method = "cover"
                 elif measure == "ta-lower":
                     cell_seed = seed
-                    best = -np.inf
-                    for r in range(restarts):
-                        cfg = TAConfig(ta_iterations, seed=seed + r)
-                        best = max(best, ta_improved(X, cfg).lower)
-                    lower, upper = best, 1.0
+                    lower = _best_ta(X, TAConfig(ta_iterations, seed=seed), restarts).lower
+                    upper = 1.0
                     method = "ta-improved"
                 else:
                     raise ValueError(f"unknown measure {measure!r}")

@@ -31,10 +31,11 @@ from .applications import (DiscreteMeasure, backward_selection, forward_selectio
                            two_measure_star_disc)
 from .generators import (Graph, PermutationConfig, dominating_set_instance, halton,
                          midpoint_set, rank1_lattice)
-from .linf_approx import TAConfig, cover_bounds, ga_lower_bound, ta_basic, ta_improved
-from .linf_exact import (MarginalCDF, star_1d, star_2d, star_3d, star_dem,
-                         star_exact, star_grid_enum)
-from .pointset import BudgetExceededError, PointSet, WeightedPointSet
+from .linf_approx import TAConfig, _best_ta, cover_bounds, ga_lower_bound
+from .linf_exact import (MarginalCDF, exact_method, star_1d, star_2d, star_3d,
+                         star_by_method, star_dem, star_grid_enum)
+from .pointset import (BudgetExceededError, PointSet, WeightedPointSet,
+                       local_discrepancy, snap_down, snap_up)
 
 __all__ = [
     "ParseError",
@@ -365,13 +366,9 @@ def _cmd_disc(args, report: RunReport) -> None:
         if G is not None or args.method == "grid":
             res = star_grid_enum(X, G, budget=args.budget)
             method = "grid"
-        elif args.method == "auto":
-            res = star_exact(X, args.budget)
-            method = {1: "1d", 2: "2d", 3: "3d"}.get(X.d, "dem")
         else:
-            fn = {"1d": star_1d, "2d": star_2d, "3d": star_3d, "dem": star_dem}[args.method]
-            res = fn(X)
-            method = args.method
+            method = exact_method(X.d) if args.method == "auto" else args.method
+            res = star_by_method(X, method, args.budget)
         report.add(task="disc", measure=m, method=method, value=res.value,
                    witness=res.witness, witness_kind=res.kind,
                    wall_time=time.perf_counter() - t0)
@@ -394,19 +391,14 @@ def _cmd_disc(args, report: RunReport) -> None:
         report.add(task="disc", measure=m, p=args.p, value=v, squared=False,
                    power=args.p, wall_time=time.perf_counter() - t0)
     elif m == "cover-upper":
-        res = cover_bounds(X, args.delta)
+        res = cover_bounds(X, args.delta, cap=args.budget)
         report.add(task="disc", measure=m, lower=res.lower, upper=res.upper,
                    delta=args.delta, witness=res.witness,
                    wall_time=time.perf_counter() - t0)
     elif m == "ta-lower":
         seed = _need_seed(args, report)
-        best = None
-        for r in range(args.restarts):
-            cfg = TAConfig(args.iterations, mc=args.mc, k=args.k, seed=seed + r)
-            fn = ta_basic if args.variant == "basic" else ta_improved
-            res = fn(X, cfg)
-            if best is None or res.lower > best.lower:
-                best = res
+        best = _best_ta(X, TAConfig(args.iterations, mc=args.mc, k=args.k, seed=seed),
+                        args.restarts, args.variant)
         report.add(task="disc", measure=m, variant=args.variant, lower=best.lower,
                    upper=best.upper, iterations=args.iterations, seed=seed,
                    restarts=args.restarts, witness=best.witness,
@@ -480,8 +472,6 @@ def _cmd_report(args, report: RunReport) -> None:
 
 def _cmd_selftest(args, report: RunReport) -> int:
     """Small cross-algorithm oracle web; exits nonzero on any violation."""
-    from .linf_approx import cover_bounds as _cover
-
     rng = np.random.default_rng(args.seed)
     failures = 0
     for t in range(args.instances):
@@ -501,7 +491,7 @@ def _cmd_selftest(args, report: RunReport) -> int:
         if not ok:
             failures += 1
             report.add(instance=t, status="FAIL", spread=spread, **vals)
-        cb = _cover(X, 0.25)
+        cb = cover_bounds(X, 0.25)
         if not (cb.lower <= ref.value + 1e-12 and ref.value <= cb.upper + 1e-12):
             failures += 1
             report.add(instance=t, status="FAIL", reason="cover sandwich",
@@ -518,7 +508,6 @@ def _cmd_selftest(args, report: RunReport) -> int:
             failures += 1
             report.add(instance=t, status="FAIL", reason="lp p=2 vs weighted l2",
                        lp=p2, l2=w2)
-        from .pointset import local_discrepancy, snap_down, snap_up
         y = rng.random(d)
         before = local_discrepancy(y, X)
         dn = local_discrepancy(snap_down(y, X), X)

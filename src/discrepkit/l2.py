@@ -190,7 +190,7 @@ def weighted_star_l2_sq(X: PointSet, gamma) -> float:
     pts = X.points
     one_minus = 1.0 - pts
 
-    t1 = np.prod(np.asarray(1.0 + g2 / 3.0, dtype=_ACC))
+    t1 = np.prod(1.0 + np.asarray(g2, dtype=_ACC) / 3)
 
     t2 = np.sum(np.prod(1.0 + g2 * (1.0 - pts * pts) / 2.0, axis=1), dtype=_ACC)
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pointset import BudgetExceededError, PointSet
-from .linf_exact import _count_tensor, _grid_side_max, local_values
+from .pointset import (BudgetExceededError, PointSet, _count_closed, _count_open,
+                       _count_tensor, _grid_axes, _snap_down, _snap_up)
+from .linf_exact import _grid_side_max, local_values
 
 __all__ = [
     "DeltaCover",
@@ -171,71 +172,51 @@ class TAConfig:
 
 
 class _Workspace:
-    """Precomputed grids and vectorized local evaluations for one point set."""
+    """Precomputed grids of one point set."""
 
     def __init__(self, X: PointSet):
-        self.X = X
         self.pts = X.points
-        self.n, self.d = X.n, X.d
-        self.aug = [np.unique(np.append(self.pts[:, j], 1.0)) for j in range(self.d)]
-        self.vals = [np.unique(self.pts[:, j]) for j in range(self.d)]
+        self.d = X.d
+        self.vals, self.aug = _grid_axes(self.pts)
         # snapped-down corners live on the grids extended by a 0 level
-        self.ext = [np.concatenate(([0.0], self.aug[j])) if self.aug[j][0] > 0.0
-                    else self.aug[j] for j in range(self.d)]
+        self.ext = [np.concatenate(([0.0], a)) if a[0] > 0.0 else a for a in self.aug]
         self.sizes = np.array([len(a) for a in self.aug])
 
     def corner(self, idx: np.ndarray) -> np.ndarray:
         return np.array([self.aug[j][idx[j]] for j in range(self.d)])
 
-    def delta_open(self, y: np.ndarray) -> float:
-        a = np.count_nonzero(np.all(self.pts < y, axis=1))
-        return float(np.multiply.reduce(y)) - a / self.n
 
-    def delta_closed(self, y: np.ndarray) -> float:
-        a = np.count_nonzero(np.all(self.pts <= y, axis=1))
-        return a / self.n - float(np.multiply.reduce(y))
-
-    def delta_star(self, y: np.ndarray) -> float:
-        return max(self.delta_open(y), self.delta_closed(y))
-
-    def snap_down(self, y: np.ndarray) -> np.ndarray:
-        out = np.empty(self.d)
-        for j in range(self.d):
-            vals = self.vals[j]
-            pos = np.searchsorted(vals, y[j], side="right")
-            out[j] = vals[pos - 1] if pos > 0 else 0.0
-        return out
-
-    def snap_up(self, y: np.ndarray, rng) -> np.ndarray:
-        z = y.copy()
-        less = self.pts < z
-        cnt = less.sum(axis=1)
-        for j in rng.permutation(self.d):
-            others = (cnt - less[:, j]) == self.d - 1
-            blocked = self.pts[others & (self.pts[:, j] >= y[j]), j]
-            z[j] = blocked.min() if blocked.size else 1.0
-            new_col = self.pts[:, j] < z[j]
-            cnt += new_col.astype(np.int64) - less[:, j]
-            less[:, j] = new_col
-        return z
+def _open_value(pts: np.ndarray, y: np.ndarray) -> float:
+    """Open-box local discrepancy V(y) - A(y)/n at a corner; no validation."""
+    return float(np.multiply.reduce(y)) - _count_open(pts, y) / len(pts)
 
 
-def _thresholds(ws: _Workspace, cfg: TAConfig, rng, sample_move) -> tuple[np.ndarray, int]:
+def _closed_value(pts: np.ndarray, y: np.ndarray) -> float:
+    """Closed-box local discrepancy A-bar(y)/n - V(y) at a corner."""
+    return _count_closed(pts, y) / len(pts) - float(np.multiply.reduce(y))
+
+
+def _star_value(pts: np.ndarray, y: np.ndarray) -> float:
+    return max(_open_value(pts, y), _closed_value(pts, y))
+
+
+def _thresholds(ws: _Workspace, iterations: int, schedule_length: int | None, rng,
+                move_change) -> tuple[np.ndarray, int]:
     """Threshold schedule from sampled neighbor pairs.
 
-    Draws about sqrt(iterations) random (corner, neighbor) pairs, takes the
-    negated absolute objective changes, and returns their empirical quantiles
-    rising from the median toward zero, the last segment pinned at zero.
+    Draws about sqrt(iterations) random grid corners, asks ``move_change``
+    for the objective change of a random move from each, and returns the
+    empirical quantiles of the negated absolute changes rising from the
+    median toward zero, the last segment pinned at zero.
     """
-    seg_len = max(1, math.isqrt(cfg.iterations - 1) + 1) if cfg.iterations > 1 else 1
-    n_seg = cfg.schedule_length or max(1, math.ceil(cfg.iterations / seg_len))
-    seg_len = math.ceil(cfg.iterations / n_seg)
-    J = max(4, math.isqrt(cfg.iterations - 1) + 1) if cfg.iterations > 1 else 4
+    seg_len = max(1, math.isqrt(iterations - 1) + 1) if iterations > 1 else 1
+    n_seg = schedule_length or max(1, math.ceil(iterations / seg_len))
+    seg_len = math.ceil(iterations / n_seg)
+    J = max(4, math.isqrt(iterations - 1) + 1) if iterations > 1 else 4
     deltas = np.empty(J)
     for t in range(J):
         idx = np.array([rng.integers(0, s) for s in ws.sizes])
-        f0, y0 = sample_move(idx, probe=True)
-        deltas[t] = abs(f0)
+        deltas[t] = abs(move_change(idx))
     if n_seg == 1:
         return np.zeros(1), seg_len
     qs = 0.5 + 0.5 * np.arange(n_seg) / (n_seg - 1)
@@ -254,6 +235,7 @@ def ta_basic(X: PointSet, cfg: TAConfig) -> BoundResult:
     the uninformative 1.
     """
     ws = _Workspace(X)
+    pts = ws.pts
     rng = np.random.default_rng(cfg.seed)
     mc = min(cfg.mc, ws.d)
 
@@ -264,23 +246,21 @@ def ta_basic(X: PointSet, cfg: TAConfig) -> BoundResult:
         out[coords] = np.clip(out[coords] + steps, 0, ws.sizes[coords] - 1)
         return out
 
-    def probe_pair(idx, probe=False):
-        y = ws.corner(idx)
-        f = ws.delta_star(y)
-        z = ws.corner(neighbor(idx))
-        return ws.delta_star(z) - f, y
+    def move_change(idx):
+        f = _star_value(pts, ws.corner(idx))
+        return _star_value(pts, ws.corner(neighbor(idx))) - f
 
-    sched, seg_len = _thresholds(ws, cfg, rng, probe_pair)
+    sched, seg_len = _thresholds(ws, cfg.iterations, cfg.schedule_length, rng, move_change)
 
     idx = np.array([rng.integers(0, s) for s in ws.sizes])
     y = ws.corner(idx)
-    f = ws.delta_star(y)
+    f = _star_value(pts, y)
     best_f, best_y = f, y
     for it in range(cfg.iterations):
         T = sched[min(it // seg_len, len(sched) - 1)]
         idx2 = neighbor(idx)
         z = ws.corner(idx2)
-        fz = ws.delta_star(z)
+        fz = _star_value(pts, z)
         if fz > best_f:
             best_f, best_y = fz, z
         if fz - f >= T:
@@ -305,6 +285,7 @@ def ta_improved(X: PointSet, cfg: TAConfig) -> BoundResult:
     linearly from half the grid size to 1 over the run.
     """
     ws = _Workspace(X)
+    pts, plain = ws.pts, ws.vals
     rng = np.random.default_rng(cfg.seed)
     mc = min(cfg.mc, ws.d)
     d = ws.d
@@ -337,33 +318,31 @@ def ta_improved(X: PointSet, cfg: TAConfig) -> BoundResult:
         start = np.array([rng.integers(0, s) for s in ws.sizes])
         y0 = ws.corner(start)
         if closed_phase:
-            y = ws.snap_down(y0)
-            f = ws.delta_closed(y)
+            y = _snap_down(y0, plain)
+            f = _closed_value(pts, y)
         else:
-            y = ws.snap_up(y0, rng)
-            f = ws.delta_open(y)
-        track(ws.delta_star(y), y)
+            y = _snap_up(y0, pts, rng)
+            f = _open_value(pts, y)
+        track(_star_value(pts, y), y)
         k0 = max(1, int(np.max(ws.sizes)) // 2)
 
-        def probe_pair(idx, probe=False):
+        def move_change(idx):
             yy = ws.corner(idx)
             zt = sample_tilde(yy, k0)
             if closed_phase:
-                return ws.delta_closed(ws.snap_down(zt)) - ws.delta_closed(yy), yy
-            return ws.delta_open(ws.snap_up(zt, rng)) - ws.delta_open(yy), yy
+                return _closed_value(pts, _snap_down(zt, plain)) - _closed_value(pts, yy)
+            return _open_value(pts, _snap_up(zt, pts, rng)) - _open_value(pts, yy)
 
-        sub = TAConfig(iters, mc=mc, k=cfg.k, schedule_length=cfg.schedule_length,
-                       seed=cfg.seed)
-        sched, seg_len = _thresholds(ws, sub, rng, probe_pair)
+        sched, seg_len = _thresholds(ws, iters, cfg.schedule_length, rng, move_change)
         for it in range(iters):
             T = sched[min(it // seg_len, len(sched) - 1)]
             frac = it / max(iters - 1, 1)
             k = max(1, int(round(k0 * (1.0 - frac) + 1.0 * frac)))
             zt = sample_tilde(y, k)
-            z_dn = ws.snap_down(zt)
-            z_up = ws.snap_up(zt, rng)
-            v_dn = ws.delta_closed(z_dn)
-            v_up = ws.delta_open(z_up)
+            z_dn = _snap_down(zt, plain)
+            z_up = _snap_up(zt, pts, rng)
+            v_dn = _closed_value(pts, z_dn)
+            v_up = _open_value(pts, z_up)
             track(v_dn, z_dn)
             track(v_up, z_up)
             if closed_phase:
@@ -383,6 +362,23 @@ def ta_improved(X: PointSet, cfg: TAConfig) -> BoundResult:
                         "mc": mc, "k": cfg.k, "seed": cfg.seed})
 
 
+def _best_ta(X: PointSet, cfg: TAConfig, restarts: int,
+             variant: str = "improved") -> BoundResult:
+    """Best of ``restarts`` TA runs seeded cfg.seed, cfg.seed + 1, ...
+
+    ``variant`` is "basic" or "improved"; the first of equally good runs wins.
+    """
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    run = ta_basic if variant == "basic" else ta_improved
+    best = None
+    for r in range(restarts):
+        res = run(X, replace(cfg, seed=cfg.seed + r))
+        if best is None or res.lower > best.lower:
+            best = res
+    return best
+
+
 def ga_lower_bound(X: PointSet, mu: int, C: int, M: int, t: int,
                    seed: int = 0) -> BoundResult:
     """(mu+lambda) evolutionary lower bound with lambda = C + M.
@@ -399,7 +395,7 @@ def ga_lower_bound(X: PointSet, mu: int, C: int, M: int, t: int,
     rng = np.random.default_rng(seed)
 
     def fitness(idx: np.ndarray) -> float:
-        return ws.delta_star(ws.corner(idx))
+        return _star_value(ws.pts, ws.corner(idx))
 
     pop = [np.array([rng.integers(0, s) for s in ws.sizes]) for _ in range(mu)]
     fits = [fitness(p) for p in pop]

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pointset import BudgetExceededError, PointSet, WeightedPointSet, volume
+from .pointset import (BudgetExceededError, PointSet, WeightedPointSet, _count_closed,
+                       _count_open, _count_tensor, _grid_axes, volume)
 
 __all__ = [
     "MarginalCDF",
@@ -142,12 +142,8 @@ def local_values(nu, y, G: MarginalCDF | None = None) -> tuple[float, float]:
     mu = _mu_value(yv, G)
     if is_plain:
         n = pts.shape[0]
-        open_w = int(np.count_nonzero(np.all(pts < yv, axis=1))) / n
-        closed_w = int(np.count_nonzero(np.all(pts <= yv, axis=1))) / n
-    else:
-        open_w = float(np.sum(w[np.all(pts < yv, axis=1)]))
-        closed_w = float(np.sum(w[np.all(pts <= yv, axis=1)]))
-    return mu - open_w, closed_w - mu
+        return mu - _count_open(pts, yv) / n, _count_closed(pts, yv) / n - mu
+    return mu - _count_open(pts, yv, w), _count_closed(pts, yv, w) - mu
 
 
 def _result_at(nu, y: np.ndarray, kind: str, G: MarginalCDF | None = None) -> StarResult:
@@ -174,39 +170,6 @@ def star_1d(X: PointSet) -> StarResult:
 # ---------------------------------------------------------------------------
 # grid enumeration via cumulative count tensors
 # ---------------------------------------------------------------------------
-
-def _axis_values(pts: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    plain = [np.unique(pts[:, j]) for j in range(pts.shape[1])]
-    aug = [np.unique(np.append(pts[:, j], 1.0)) for j in range(pts.shape[1])]
-    return plain, aug
-
-
-def _count_tensor(axes: list[np.ndarray], pts: np.ndarray, w: np.ndarray | None,
-                  side: str) -> np.ndarray:
-    """Cumulative weight tensor over the corner grid.
-
-    Entry [t_1..t_d] is the total weight of points in the open box (side
-    "open", strict comparisons) or closed box (side "closed") at the corner
-    (axes[0][t_1], ..., axes[d-1][t_d]).  With ``w`` None, integer unit
-    counts are accumulated instead (exact and faster).
-    """
-    shape = tuple(len(a) for a in axes)
-    idx = np.empty((pts.shape[0], len(axes)), dtype=np.int64)
-    for j, a in enumerate(axes):
-        srt = "right" if side == "open" else "left"
-        idx[:, j] = np.searchsorted(a, pts[:, j], side=srt)
-    keep = np.all(idx < np.array(shape), axis=1)
-    H = np.zeros(shape, dtype=np.int32 if w is None else np.float64)
-    if np.any(keep):
-        flat = np.ravel_multi_index(tuple(idx[keep].T), shape)
-        if w is None:
-            np.add.at(H.reshape(-1), flat, np.int32(1))
-        else:
-            np.add.at(H.reshape(-1), flat, w[keep])
-    for ax in range(len(axes)):
-        np.cumsum(H, axis=ax, out=H)
-    return H
-
 
 def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray],
                    counts: np.ndarray, sign: int,
@@ -247,7 +210,7 @@ def star_grid_enum(nu, G: MarginalCDF | None = None,
     d = pts.shape[1]
     if G is not None and G.d != d:
         raise ValueError("marginal table dimension mismatch")
-    plain, aug = _axis_values(pts)
+    plain, aug = _grid_axes(pts)
     aug_size = 1
     for a in aug:
         aug_size *= len(a)
@@ -422,7 +385,7 @@ def star_dem(X: PointSet, validate: bool = False) -> StarResult:
     cap = math.isqrt(n)
     if cap * cap < n:
         cap += 1
-    grids = [np.unique(pts[:, j]) for j in range(d)]
+    grids, _ = _grid_axes(pts)
 
     best = {"value": -np.inf, "corner": None, "kind": "open"}
 
@@ -580,19 +543,25 @@ def dem_cost_estimate(n: int, d: int) -> float:
     return float(n) ** (d / 2.0 + 1.0)
 
 
-_CALIBRATION: dict = {}
+def exact_method(d: int) -> str:
+    """Name of the exact method :func:`star_exact` runs in dimension ``d``."""
+    return f"{d}d" if d <= 3 else "dem"
 
 
-def _ops_per_second() -> float:
-    """One-off micro-benchmark converting box evaluations to seconds."""
-    if "ops" not in _CALIBRATION:
-        rng = np.random.default_rng(12345)
-        X = PointSet(rng.random((32, 3)))
-        t0 = time.perf_counter()
-        star_dem(X)
-        elapsed = max(time.perf_counter() - t0, 1e-9)
-        _CALIBRATION["ops"] = dem_cost_estimate(32, 3) / elapsed
-    return _CALIBRATION["ops"]
+def star_by_method(X: PointSet, method: str, budget: int) -> StarResult:
+    """Run the exact method named "1d", "2d", "3d" or "dem".
+
+    The decomposition first checks its n^(d/2+1) work estimate against
+    ``budget``; the dimension-specialized formulas run unchecked.
+    """
+    if method == "dem":
+        cost = dem_cost_estimate(X.n, X.d)
+        if cost > budget:
+            raise BudgetExceededError(
+                f"exact computation needs about {cost:.3g} box evaluations, "
+                f"exceeding the budget of {budget}; "
+                f"use cover_bounds or ta_improved from discrepkit.linf_approx")
+    return {"1d": star_1d, "2d": star_2d, "3d": star_3d, "dem": star_dem}[method](X)
 
 
 def star_exact(X: PointSet, budget: int = 50_000_000) -> StarResult:
@@ -603,17 +572,4 @@ def star_exact(X: PointSet, budget: int = 50_000_000) -> StarResult:
     budget error reports the estimated cost and suggests guaranteed or
     heuristic bounds instead.
     """
-    if X.d == 1:
-        return star_1d(X)
-    if X.d == 2:
-        return star_2d(X)
-    if X.d == 3:
-        return star_3d(X)
-    cost = dem_cost_estimate(X.n, X.d)
-    if cost > budget:
-        secs = cost / _ops_per_second()
-        raise BudgetExceededError(
-            f"exact computation needs about {cost:.3g} box evaluations "
-            f"(roughly {secs:.3g} s), exceeding the budget of {budget}; "
-            f"use cover_bounds or ta_improved from discrepkit.linf_approx")
-    return star_dem(X)
+    return star_by_method(X, exact_method(X.d), budget)

@@ -17,6 +17,7 @@ Discrepancy *values* carry rounding error; box membership never does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,25 +156,42 @@ class LocalDiscrepancy:
     volume: float
 
 
+def _count_open(pts: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
+    """Points of ``pts`` in the open box [0, y): their number, or with ``w``
+    their total weight.  No validation; the kernel of every open count."""
+    inside = np.all(pts < y, axis=1)
+    return int(np.count_nonzero(inside)) if w is None else float(np.sum(w[inside]))
+
+
+def _count_closed(pts: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
+    """Points of ``pts`` in the closed box [0, y]: their number, or with ``w``
+    their total weight.  No validation; the kernel of every closed count."""
+    inside = np.all(pts <= y, axis=1)
+    return int(np.count_nonzero(inside)) if w is None else float(np.sum(w[inside]))
+
+
 def local_discrepancy(y, X: PointSet) -> LocalDiscrepancy:
     """Evaluate open/closed counts and local discrepancies at corner ``y``."""
     yv = _as_corner(y, X.d)
-    a = int(np.count_nonzero(np.all(X.points < yv, axis=1)))
-    ab = int(np.count_nonzero(np.all(X.points <= yv, axis=1)))
+    a = _count_open(X.points, yv)
+    ab = _count_closed(X.points, yv)
     v = volume(yv)
     delta = v - a / X.n
     delta_bar = ab / X.n - v
     return LocalDiscrepancy(delta, delta_bar, max(delta, delta_bar), a, ab, v)
 
 
-def open_count(y, X: PointSet) -> int:
-    yv = _as_corner(y, X.d)
-    return int(np.count_nonzero(np.all(X.points < yv, axis=1)))
+def _grid_axes(pts: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(plain, augmented) axes of the grids induced by an (n, d) array.
 
-
-def closed_count(y, X: PointSet) -> int:
-    yv = _as_corner(y, X.d)
-    return int(np.count_nonzero(np.all(X.points <= yv, axis=1)))
+    ``plain[j]`` is the increasing list of distinct j-th coordinates and
+    ``aug[j]`` the same list with 1 appended unless already present (atoms of
+    a measure may sit at 1).  No validation; every grid in the package is
+    built here.
+    """
+    plain = [np.unique(pts[:, j]) for j in range(pts.shape[1])]
+    aug = [v if v[-1] == 1.0 else np.append(v, 1.0) for v in plain]
+    return plain, aug
 
 
 @dataclass(frozen=True)
@@ -181,17 +199,14 @@ class GridView:
     """Per-coordinate sorted coordinate values of a point set.
 
     ``values[j]`` is the strictly increasing list of distinct j-th
-    coordinates, ``aug_values[j]`` the same list with 1 appended, and
-    ``orders[j]`` a stable argsort of the j-th coordinates (rank to point
-    index).  The Cartesian products of these lists are the finite search
-    spaces on which the open/closed local discrepancies attain the star
-    discrepancy.
+    coordinates and ``aug_values[j]`` the same list with 1 appended.  The
+    Cartesian products of these lists are the finite search spaces on which
+    the open/closed local discrepancies attain the star discrepancy.
     """
 
     values: tuple
     aug_values: tuple
     sizes: tuple
-    orders: tuple
 
     @property
     def grid_size(self) -> int:
@@ -210,20 +225,10 @@ class GridView:
 
 
 def grid_view(X: PointSet) -> GridView:
-    values, aug, sizes, orders = [], [], [], []
-    for j in range(X.d):
-        col = X.points[:, j]
-        vals = np.unique(col)
-        vals.flags.writeable = False
-        av = np.unique(np.append(col, 1.0))
-        av.flags.writeable = False
-        values.append(vals)
-        aug.append(av)
-        sizes.append(len(av))
-        order = np.argsort(col, kind="stable")
-        order.flags.writeable = False
-        orders.append(order)
-    return GridView(tuple(values), tuple(aug), tuple(sizes), tuple(orders))
+    plain, aug = _grid_axes(X.points)
+    for v in plain + aug:
+        v.flags.writeable = False
+    return GridView(tuple(plain), tuple(aug), tuple(len(a) for a in aug))
 
 
 def classify_critical(y, X: PointSet) -> tuple[bool, bool]:
@@ -236,19 +241,20 @@ def classify_critical(y, X: PointSet) -> tuple[bool, bool]:
     suffices to test a single-coordinate move to the neighboring grid value.
     """
     yv = _as_corner(y, X.d)
-    gv = grid_view(X)
-    a0 = open_count(yv, X)
-    ab0 = closed_count(yv, X)
+    pts = X.points
+    plain, aug = _grid_axes(pts)
+    a0 = _count_open(pts, yv)
+    ab0 = _count_closed(pts, yv)
 
     is_delta = True
     for j in range(X.d):
         if yv[j] == 1.0:
             continue
-        av = gv.aug_values[j]
+        av = aug[j]
         nxt = av[np.searchsorted(av, yv[j], side="right")]
         y2 = yv.copy()
         y2[j] = nxt
-        if open_count(y2, X) == a0:
+        if _count_open(pts, y2) == a0:
             is_delta = False
             break
 
@@ -256,12 +262,12 @@ def classify_critical(y, X: PointSet) -> tuple[bool, bool]:
     for j in range(X.d):
         if yv[j] == 0.0:
             continue
-        vals = gv.values[j]
+        vals = plain[j]
         pos = np.searchsorted(vals, yv[j], side="left")
         prev = vals[pos - 1] if pos > 0 else 0.0
         y2 = yv.copy()
         y2[j] = prev
-        if closed_count(y2, X) == ab0:
+        if _count_closed(pts, y2) == ab0:
             is_deltabar = False
             break
 
@@ -275,6 +281,63 @@ class CriticalCorner:
     count: int  # open count for "delta", closed count for "deltabar"
 
 
+def _count_tensor(axes: list[np.ndarray], pts: np.ndarray, w: np.ndarray | None,
+                  side: str | list[str]) -> np.ndarray:
+    """Cumulative weight tensor over the corner grid.
+
+    Entry [t_1..t_d] is the total weight of points in the open box (side
+    "open", strict comparisons) or closed box (side "closed") at the corner
+    (axes[0][t_1], ..., axes[d-1][t_d]); ``side`` may also give one of the
+    two per axis.  With ``w`` None, integer unit counts are accumulated
+    instead (exact and faster).
+    """
+    sides = [side] * len(axes) if isinstance(side, str) else side
+    shape = tuple(len(a) for a in axes)
+    idx = np.empty((pts.shape[0], len(axes)), dtype=np.int64)
+    for j, a in enumerate(axes):
+        srt = "right" if sides[j] == "open" else "left"
+        idx[:, j] = np.searchsorted(a, pts[:, j], side=srt)
+    keep = np.all(idx < np.array(shape), axis=1)
+    H = np.zeros(shape, dtype=np.int32 if w is None else np.float64)
+    if np.any(keep):
+        flat = np.ravel_multi_index(tuple(idx[keep].T), shape)
+        if w is None:
+            np.add.at(H.reshape(-1), flat, np.int32(1))
+        else:
+            np.add.at(H.reshape(-1), flat, w[keep])
+    for ax in range(len(axes)):
+        np.cumsum(H, axis=ax, out=H)
+    return H
+
+
+def _critical_corner_masks(points: np.ndarray, plain: list, aug: list):
+    """Boolean tensors marking critical corners of the induced grids.
+
+    Open side (augmented grid): a corner is critical when in every coordinate
+    either the value is 1 or some point sits exactly at the value while lying
+    strictly inside the box in all other coordinates.  Closed side (plain
+    grid): some point sits at the value while lying weakly inside elsewhere.
+    This single-coordinate rule leaves out the origin corner when no point
+    sits there, although it is vacuously deltabar-critical.
+    """
+    d = points.shape[1]
+    masks = []
+    for axes, side in ((aug, "open"), (plain, "closed")):
+        mask = np.ones(tuple(len(a) for a in axes), dtype=bool)
+        for j in range(d):
+            # points at the value in coordinate j (the axes hold every
+            # coordinate), inside the box in the others
+            sides = [side] * d
+            sides[j] = "closed"
+            counts = _count_tensor(axes, points, None, sides)
+            at_j = np.diff(counts, axis=j, prepend=0) > 0
+            if side == "open":  # a coordinate at 1 needs no enlargement witness
+                at_j[(slice(None),) * j + (-1,)] = True
+            mask &= at_j
+        masks.append(mask)
+    return masks[0], masks[1]
+
+
 def enumerate_critical(X: PointSet, k: int | None = None,
                        budget: int = 1_000_000) -> list[CriticalCorner]:
     """All critical corners of the induced grids, optionally filtered by count.
@@ -284,29 +347,51 @@ def enumerate_critical(X: PointSet, k: int | None = None,
     equals ``k`` are returned.  Intended for small instances; the total
     number of grid corners visited is capped by ``budget``.
     """
-    import itertools
-
-    gv = grid_view(X)
-    total = gv.aug_grid_size + gv.grid_size
+    plain, aug = _grid_axes(X.points)
+    total = math.prod(len(a) for a in aug) + math.prod(len(v) for v in plain)
     if total > budget:
         raise BudgetExceededError(
             f"induced grid has {total} corners, exceeding the budget of {budget}")
+    open_mask, closed_mask = _critical_corner_masks(X.points, plain, aug)
+    if all(v[0] == 0.0 for v in plain):
+        closed_mask[(0,) * X.d] = True  # no coordinate of the origin can shrink
     out: list[CriticalCorner] = []
-    for y in itertools.product(*gv.aug_values):
-        yv = np.array(y)
-        is_d, _ = classify_critical(yv, X)
-        if is_d:
-            cnt = open_count(yv, X)
+    for axes, mask, side, kind in ((aug, open_mask, "open", "delta"),
+                                   (plain, closed_mask, "closed", "deltabar")):
+        counts = _count_tensor(axes, X.points, None, side)
+        for t in np.argwhere(mask):
+            cnt = int(counts[tuple(t)])
             if k is None or cnt == k:
-                out.append(CriticalCorner(yv, "delta", cnt))
-    for y in itertools.product(*gv.values):
-        yv = np.array(y)
-        _, is_db = classify_critical(yv, X)
-        if is_db:
-            cnt = closed_count(yv, X)
-            if k is None or cnt == k:
-                out.append(CriticalCorner(yv, "deltabar", cnt))
+                corner = np.array([axes[j][t[j]] for j in range(X.d)])
+                out.append(CriticalCorner(corner, kind, cnt))
     return out
+
+
+def _snap_down(y: np.ndarray, plain: list) -> np.ndarray:
+    """Floor every coordinate of ``y`` into ``plain[j] + {0}``; no validation."""
+    out = np.empty(len(plain))
+    for j, vals in enumerate(plain):
+        pos = np.searchsorted(vals, y[j], side="right")
+        out[j] = vals[pos - 1] if pos > 0 else 0.0
+    return out
+
+
+def _snap_up(y: np.ndarray, pts: np.ndarray, rng) -> np.ndarray:
+    """Raise coordinates of ``y`` in a random order until each is blocked by
+    a point; no validation.  Per-point counts of coordinates below the
+    current corner are kept up to date, so each step is one vector pass."""
+    d = pts.shape[1]
+    z = y.copy()
+    less = pts < z
+    cnt = less.sum(axis=1)
+    for j in rng.permutation(d):
+        others = (cnt - less[:, j]) == d - 1
+        blocked = pts[others & (pts[:, j] >= y[j]), j]
+        z[j] = blocked.min() if blocked.size else 1.0
+        new_col = pts[:, j] < z[j]
+        cnt += new_col.astype(np.int64) - less[:, j]
+        less[:, j] = new_col
+    return z
 
 
 def snap_down(y, X: PointSet) -> np.ndarray:
@@ -317,14 +402,7 @@ def snap_down(y, X: PointSet) -> np.ndarray:
     point, so the closed count is preserved and the closed-box local
     discrepancy never decreases.  The floor is unique, hence deterministic.
     """
-    yv = _as_corner(y, X.d)
-    gv = grid_view(X)
-    out = np.empty(X.d)
-    for j in range(X.d):
-        vals = gv.values[j]
-        pos = np.searchsorted(vals, yv[j], side="right")
-        out[j] = vals[pos - 1] if pos > 0 else 0.0
-    return out
+    return _snap_down(_as_corner(y, X.d), _grid_axes(X.points)[0])
 
 
 def snap_up(y, X: PointSet, rng) -> np.ndarray:
@@ -337,12 +415,4 @@ def snap_up(y, X: PointSet, rng) -> np.ndarray:
     open-box local discrepancy never decreases.
     """
     rng = np.random.default_rng(rng)
-    yv = _as_corner(y, X.d)
-    pts = X.points
-    z = yv.copy()
-    order = rng.permutation(X.d)
-    for j in order:
-        others = np.all(np.delete(pts, j, axis=1) < np.delete(z, j), axis=1)
-        blocked = pts[others & (pts[:, j] >= yv[j]), j]
-        z[j] = blocked.min() if blocked.size else 1.0
-    return z
+    return _snap_up(_as_corner(y, X.d), X.points, rng)

@@ -186,3 +186,22 @@ def two_measure_disc_brute(atoms_p, probs_p, atoms_q, probs_q):
     for y in itertools.product(*plain):
         best = max(best, pmass(y, closed=True))
     return best
+
+
+def weighted_star_l2_sq_ext(pts, gamma, block=256):
+    """Closed form of the squared product-weighted L2 star discrepancy,
+    prod(1 + g^2/3) - 2/n sum_i prod(1 + g^2 (1 - x^2)/2)
+    + 1/n^2 sum_{i,l} prod(1 + g^2 min(1 - x_i, 1 - x_l)),
+    with the constant term and every sum in extended precision
+    (np.longdouble).  The per-point and per-pair products are double, the
+    precision of the points themselves."""
+    x = np.asarray(pts, dtype=np.float64)
+    g2 = np.asarray(gamma, dtype=np.float64) ** 2
+    n = x.shape[0]
+    const = np.prod(1 + g2.astype(np.longdouble) / 3)
+    single = np.sum(np.prod(1 + g2 * (1 - x * x) / 2, axis=1), dtype=np.longdouble)
+    pair = np.longdouble(0)
+    for s in range(0, n, block):
+        mins = np.minimum(1 - x[s:s + block, None, :], 1 - x[None, :, :])
+        pair += np.sum(np.prod(1 + g2 * mins, axis=2), dtype=np.longdouble)
+    return const - 2 * single / n + pair / (np.longdouble(n) * n)

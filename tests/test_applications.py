@@ -215,6 +215,8 @@ class TestSelection:
         # reported distance recomputes through the public metric
         assert res.distance == pytest.approx(
             two_measure_star_disc(P, res.measure), abs=1e-9)
+        # and is the distance of the last greedy step, not a second solve
+        assert res.distance == res.trace[-1][1]
 
     def test_fast_and_exact_agree_on_easy_instance(self):
         P = DiscreteMeasure.uniform([[0.1], [0.5], [0.9]])

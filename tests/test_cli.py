@@ -106,6 +106,24 @@ class TestCommands:
         code, rep = run(["disc", "--input", str(out), "--measure", "star-linf"])
         assert code == 3
 
+    def test_cover_upper_honours_budget(self, tmp_path):
+        # a delta = 0.1 cover in d = 4 has 40^4 = 2.56M corners
+        out = tmp_path / "pts.txt"
+        write_pointset(str(out), PointSet(np.random.default_rng(1).random((64, 4))))
+        code, rep = run(["disc", "--input", str(out), "--measure", "cover-upper",
+                         "--delta", "0.1", "--budget", "1000"])
+        assert code == 3
+
+    def test_explicit_dem_honours_budget(self, tmp_path):
+        # DEM's estimate at n = 64, d = 4 is 64^3 = 262144 box evaluations
+        out = tmp_path / "pts.txt"
+        write_pointset(str(out), PointSet(np.random.default_rng(1).random((64, 4))))
+        code, rep = run(["disc", "--input", str(out), "--measure", "star-linf",
+                         "--method", "dem", "--budget", "1000"])
+        assert code == 3
+        err = rep.records[-1]["error"]
+        assert "2.62e+05 box evaluations" in err and "budget of 1000" in err
+
     def test_usage_error_exit_code(self):
         code, rep = run(["disc", "--measure", "star-linf"])  # missing --input
         assert code == 2

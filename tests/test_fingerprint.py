@@ -1,0 +1,146 @@
+"""Seeded fingerprint of the heuristics, snapping, critical corners, reductions
+and CLI records.
+
+Every value below comes from a fixed seed, so a refactor of the shared
+geometry must leave it bit for bit unchanged.  Floats are compared through
+``float.hex``.  The pinned values live in ``fingerprint.json`` next to this
+file; ``PYTHONPATH=src python tests/test_fingerprint.py`` prints the current
+fingerprint in that format.  L2 values are left out: their rounding is not
+part of the geometry.
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from discrepkit import (DiscreteMeasure, PointSet, TAConfig, backward_selection,
+                        enumerate_critical, forward_selection, ga_lower_bound,
+                        snap_down, snap_up, ta_basic, ta_improved)
+from discrepkit.cli import run_command, write_pointset
+
+PINNED = Path(__file__).with_name("fingerprint.json")
+
+
+def _hex(v):
+    if isinstance(v, float):
+        return float(v).hex()
+    if isinstance(v, (list, tuple)):
+        return [_hex(c) for c in v]
+    if isinstance(v, dict):
+        return {k: _hex(c) for k, c in v.items()}
+    return v
+
+
+def _floats(arr):
+    return [float(c).hex() for c in np.asarray(arr, dtype=np.float64).reshape(-1)]
+
+
+def _tied(rng, n, d, levels):
+    """Coordinates drawn from a few levels, zero among them: many ties."""
+    return PointSet(rng.choice(levels, size=(n, d)))
+
+
+def _sets():
+    rng = np.random.default_rng(4711)
+    return {
+        "random-3d": PointSet(rng.random((20, 3))),
+        "random-5d": PointSet(rng.random((32, 5))),
+        "tied-4d": _tied(rng, 16, 4, np.array([0.0, 0.25, 0.5, 0.75])),
+        "tied-2d": _tied(rng, 9, 2, np.array([0.0, 0.3, 0.6])),
+    }
+
+
+def _bound(res):
+    return {"lower": float(res.lower).hex(), "witness": _floats(res.witness)}
+
+
+def _cli_records(tmp: Path):
+    rng = np.random.default_rng(99)
+    small, big = tmp / "small.txt", tmp / "big.txt"
+    write_pointset(str(small), PointSet(rng.random((12, 2))))
+    write_pointset(str(big), PointSet(rng.random((24, 5))))
+    (tmp / "manifest.txt").write_text(f"small {small}\nbig {big}\n")
+    runs = {
+        "disc-ta-improved": ["--format", "json", "disc", "--input", str(big),
+                             "--measure", "ta-lower", "--iterations", "300",
+                             "--restarts", "3", "--seed", "5"],
+        "disc-ta-basic": ["--format", "json", "disc", "--input", str(big),
+                          "--measure", "ta-lower", "--variant", "basic",
+                          "--iterations", "300", "--restarts", "3", "--seed", "6"],
+        "report": ["--format", "json", "report", "--manifest", str(tmp / "manifest.txt"),
+                   "--measures", "star-linf,ta-lower,cover-upper", "--seed", "8",
+                   "--budget", "1000", "--delta", "0.25", "--iterations", "200"],
+    }
+    out = {}
+    for name, argv in runs.items():
+        code, rep = run_command(argv)
+        recs = json.loads(rep.render_json())["records"]
+        for rec in recs:
+            rec.pop("wall_time", None)
+        out[name] = {"exit": code, "records": _hex(recs)}
+    return out
+
+
+def fingerprint(tmp: Path) -> dict:
+    sets = _sets()
+    fp: dict = {"ta_basic": {}, "ta_improved": {}, "ga": {}, "snap": {},
+                "critical": {}}
+    for name, X in sets.items():
+        fp["ta_basic"][name] = _bound(ta_basic(X, TAConfig(400, mc=2, k=3, seed=11)))
+        fp["ta_improved"][name] = _bound(ta_improved(X, TAConfig(400, seed=12)))
+        fp["ga"][name] = _bound(ga_lower_bound(X, 6, 4, 4, 8, seed=13))
+        rng = np.random.default_rng(14)
+        snaps = []
+        for t in range(12):
+            y = rng.random(X.d)
+            if t % 3 == 0:  # corners on the grid and at its edges
+                y = X.points[t % X.n].copy()
+                y[t % X.d] = 1.0 if t % 2 else 0.0
+            snaps.append(_floats(snap_down(y, X)) + _floats(snap_up(y, X, 1000 + t)))
+        fp["snap"][name] = snaps
+        if X.n <= 16:
+            fp["critical"][name] = [[c.kind, c.count] + _floats(c.corner)
+                                    for c in enumerate_critical(X)]
+
+    rng = np.random.default_rng(15)
+    measures = {
+        "uniform-2d": DiscreteMeasure.uniform(rng.random((6, 2))),
+        "tied-2d": DiscreteMeasure.uniform(
+            np.array([[0.0, 0.5], [0.5, 0.5], [0.5, 0.0], [0.25, 1.0], [1.0, 0.25],
+                      [0.75, 0.75]])),
+        "weighted-3d": DiscreteMeasure(rng.random((5, 3)),
+                                       rng.dirichlet(np.ones(5))),
+    }
+    fp["reduce"] = {}
+    for name, P in measures.items():
+        for fn in (forward_selection, backward_selection):
+            for exact in (False, True):
+                for n in (1, 3, P.n):
+                    res = fn(P, n, exact_inner=exact)
+                    key = f"{name}/{fn.__name__}/{'exact' if exact else 'nearest'}/{n}"
+                    fp["reduce"][key] = {
+                        "support": list(res.support_idx),
+                        "distance": float(res.distance).hex(),
+                        "trace": [[s, float(t).hex()] for s, t in res.trace],
+                        "probabilities": _floats(res.measure.probabilities),
+                        "atoms": _floats(res.measure.atoms),
+                    }
+    fp["cli"] = _cli_records(tmp)
+    return fp
+
+
+def test_seeded_fingerprint_unchanged(tmp_path):
+    want = json.loads(PINNED.read_text())
+    got = json.loads(json.dumps(fingerprint(tmp_path)))
+    for section in want:
+        assert got[section] == want[section], section
+    assert got.keys() == want.keys()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        json.dump(fingerprint(Path(tmp)), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_pointset
 from discrepkit import (HeinrichArray, PointSet, WeightedPointSet, extreme_l2,
-                        extreme_l2_sq, heinrich_D, modified_l2_sq, star_l2,
+                        extreme_l2_sq, halton, heinrich_D, modified_l2_sq, star_l2,
                         star_l2_sq_fast, warnock_star_l2_sq,
                         warnock_star_l2_sq_stable, weighted_star_l2_sq)
 
@@ -130,6 +130,17 @@ class TestWeightedL2:
                 want += w2 * warnock_star_l2_sq(X.project(u))
         got = weighted_star_l2_sq(X, g)
         assert got == pytest.approx(want, rel=1e-11, abs=1e-14)
+
+    def test_matches_extended_precision_closed_form(self):
+        # the constant term prod(1 + g^2/3) must be formed in extended
+        # precision too: rounded in double first, it is off by 1.3e-10
+        # relative on this set
+        X = halton(4096, 4)
+        want = float(oracles.weighted_star_l2_sq_ext(X.points, np.ones(4)))
+        assert modified_l2_sq(X) == pytest.approx(want, rel=1e-12, abs=0.0)
+        g = np.array([1.0, 0.7, 0.4, 0.2])
+        want = float(oracles.weighted_star_l2_sq_ext(X.points, g))
+        assert weighted_star_l2_sq(X, g) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_modified_is_unit_weight_case(self, rng):
         X = random_pointset(rng, 7, 3)

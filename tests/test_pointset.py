@@ -107,13 +107,6 @@ class TestGridView:
         X = random_pointset(rng, n, d)  # distinct coordinates almost surely
         assert grid_view(X).grid_size == n ** d
 
-    def test_orders_sort_coordinates(self, rng):
-        X = random_pointset_with_ties(rng, 9, 2)
-        gv = grid_view(X)
-        for j in range(X.d):
-            col = X.points[gv.orders[j], j]
-            assert np.all(np.diff(col) >= 0)
-
 
 class TestClassifyCritical:
     def test_spec_examples(self):
@@ -161,6 +154,43 @@ class TestEnumerateCritical:
         X = PointSet(np.random.default_rng(0).random((9, 4)))
         with pytest.raises(BudgetExceededError):
             enumerate_critical(X, budget=10)
+
+    @staticmethod
+    def by_definition(pts):
+        import itertools
+        pts = [tuple(map(float, x)) for x in pts]
+        plain, aug = oracles.grid_axes(pts)
+        out = []
+        for y in itertools.product(*aug):
+            if oracles.critical_by_definition(pts, y)[0]:
+                out.append(("delta", y, oracles.open_count(pts, y)))
+        for y in itertools.product(*plain):
+            if oracles.critical_by_definition(pts, y)[1]:
+                out.append(("deltabar", y, oracles.closed_count(pts, y)))
+        return out
+
+    @given(st.integers(1, 7), st.integers(1, 3), st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_definition_with_ties_and_zeros(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        X = PointSet(rng.choice([0.0, 0.25, 0.5, 0.75], size=(n, d)))
+        got = [(c.kind, tuple(map(float, c.corner)), c.count)
+               for c in enumerate_critical(X)]
+        want = self.by_definition(X.points)
+        assert got == want
+        k = int(rng.integers(0, n + 1))
+        assert [(c.kind, tuple(map(float, c.corner)), c.count)
+                for c in enumerate_critical(X, k=k)] == [c for c in want if c[2] == k]
+
+    def test_origin_kept_when_no_point_sits_there(self):
+        # every plain axis holds 0, no point is at the origin: no coordinate
+        # of the origin can shrink, so it is vacuously deltabar-critical
+        X = PointSet([[0.0, 0.5], [0.5, 0.0]])
+        closed = [(tuple(c.corner), c.count) for c in enumerate_critical(X)
+                  if c.kind == "deltabar"]
+        assert ((0.0, 0.0), 0) in closed
+        assert closed == [(y, n) for kind, y, n in self.by_definition(X.points)
+                          if kind == "deltabar"]
 
 
 class TestSnapDown:
