@@ -21,29 +21,26 @@ class LPError(RuntimeError):
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    rows = np.flatnonzero(f)  # rows with a zero (or -0.0) entry stay untouched
+    T[rows] -= f[rows, None] * T[row]
     basis[row] = col
 
 
 def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> None:
     """Minimize the objective in the last tableau row over columns < ncols."""
     while True:
-        col = -1
-        for j in range(ncols):
-            if T[-1, j] < -_EPS:  # Bland: first improving column
-                col = j
-                break
-        if col < 0:
+        improving = np.flatnonzero(T[-1, :ncols] < -_EPS)
+        if improving.size == 0:
             return
+        col = improving[0]  # Bland: first improving column
         row, best = -1, np.inf
-        for r in range(T.shape[0] - 1):
-            if T[r, col] > _EPS:
-                ratio = T[r, -1] / T[r, col]
-                if ratio < best - _EPS or (abs(ratio - best) <= _EPS and
-                                           (row < 0 or basis[r] < basis[row])):
-                    row, best = r, ratio
+        for r in np.flatnonzero(T[:-1, col] > _EPS):
+            ratio = T[r, -1] / T[r, col]
+            if ratio < best - _EPS or (abs(ratio - best) <= _EPS and
+                                       (row < 0 or basis[r] < basis[row])):
+                row, best = r, ratio
         if row < 0:
             raise LPError("linear program is unbounded")
         _pivot(T, basis, row, col)
@@ -78,19 +75,16 @@ def solve_lp(c, A, b) -> tuple[np.ndarray, float]:
     # drive remaining artificials out of the basis where possible
     for r in range(m):
         if basis[r] >= n:
-            piv = next((j for j in range(n) if abs(T[r, j]) > _EPS), None)
-            if piv is not None:
-                _pivot(T, basis, r, piv)
+            piv = np.flatnonzero(np.abs(T[r, :n]) > _EPS)
+            if piv.size:
+                _pivot(T, basis, r, piv[0])
 
-    keep = [r for r in range(m) if basis[r] < n or abs(T[r, -1]) <= 1e-9]
-    rows = [r for r in keep if basis[r] < n]
     # rows still basic in an artificial are redundant zero rows; drop them
+    rows = np.flatnonzero(basis < n)
     T2 = np.zeros((len(rows) + 1, n + 1))
-    basis2 = np.empty(len(rows), dtype=np.int64)
-    for t, r in enumerate(rows):
-        T2[t, :n] = T[r, :n]
-        T2[t, -1] = T[r, -1]
-        basis2[t] = basis[r]
+    T2[:-1, :n] = T[rows, :n]
+    T2[:-1, -1] = T[rows, -1]
+    basis2 = basis[rows]
     T2[-1, :n] = c
     for t in range(len(rows)):
         T2[-1] -= T2[-1, basis2[t]] * T2[t]

@@ -30,7 +30,7 @@ from .generators import PermutationConfig, halton, primes, random_permutation
 from .linf_approx import TAConfig, _best_ta, cover_bounds
 from .linf_exact import exact_method, star_exact
 from .pointset import (BudgetExceededError, _as_points, _count_tensor,
-                       _critical_corner_masks, _grid_axes)
+                       _critical_corners, _grid_axes)
 
 __all__ = [
     "DiscreteMeasure",
@@ -122,6 +122,41 @@ def two_measure_star_disc(P: DiscreteMeasure, Q: DiscreteMeasure,
     return best
 
 
+def _supporting_boxes(P: DiscreteMeasure, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The supporting boxes of P: a B x N matrix telling which atoms each box
+    holds, and P's mass in each box.  They depend on P alone, so one table
+    serves every candidate support."""
+    plain, aug = _grid_axes(P.atoms)
+    _grid_budget_check(aug, budget, "inner weight optimization")
+    (open_y, open_m), (closed_y, closed_m) = _critical_corners(
+        P.atoms, plain, aug, P.probabilities)
+    member = np.vstack([np.all(P.atoms < open_y[:, None], axis=2),
+                        np.all(P.atoms <= closed_y[:, None], axis=2)])
+    return member, np.concatenate([open_m, closed_m])
+
+
+def _inner_lp(member: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve min t s.t. |mass - member q| <= t, q a probability vector, for a
+    B x m membership matrix of the support atoms; returns (q, t)."""
+    B, m = member.shape
+    r = np.arange(B)
+    # variables: q_1..q_m, t, then one slack per inequality (2B of them)
+    A = np.zeros((2 * B + 1, m + 1 + 2 * B))
+    A[:B, :m] = A[B : 2 * B, :m] = member
+    A[:B, m] = -1.0                  # q.a - t + s = P(B)
+    A[r, m + 1 + r] = 1.0
+    A[B : 2 * B, m] = 1.0            # q.a + t - s' = P(B)
+    A[B + r, m + 1 + B + r] = -1.0
+    A[2 * B, :m] = 1.0
+    b = np.concatenate([mass, mass, [1.0]])
+    c = np.zeros(A.shape[1])
+    c[m] = 1.0
+    x, obj = solve_lp(c, A, b)
+    q = np.maximum(x[:m], 0.0)
+    q /= q.sum()
+    return q, float(obj)
+
+
 def optimal_inner_weights(P: DiscreteMeasure, support_idx,
                           budget: int = 2_000_000) -> tuple[np.ndarray, float]:
     """Best probabilities on a fixed support subset, by linear programming.
@@ -135,54 +170,8 @@ def optimal_inner_weights(P: DiscreteMeasure, support_idx,
         raise ValueError("support subset must be nonempty")
     if any(i < 0 or i >= P.n for i in support_idx):
         raise ValueError("support indices out of range")
-    Y = P.atoms[support_idx]
-    m = len(support_idx)
-    plain, aug = _grid_axes(P.atoms)
-    _grid_budget_check(aug, budget, "inner weight optimization")
-
-    open_mask, closed_mask = _critical_corner_masks(P.atoms, plain, aug)
-
-    # per-box data: membership row for each support atom and P's mass
-    rows, rhs = [], []
-    pm = _count_tensor(aug, P.atoms, P.probabilities, "open")
-    open_idx = np.argwhere(open_mask)
-    for t in open_idx:
-        y = np.array([aug[j][t[j]] for j in range(P.d)])
-        rows.append(np.all(Y < y, axis=1).astype(float))
-        rhs.append(float(pm[tuple(t)]))
-    del pm
-    pmc = _count_tensor(plain, P.atoms, P.probabilities, "closed")
-    closed_idx = np.argwhere(closed_mask)
-    for t in closed_idx:
-        y = np.array([plain[j][t[j]] for j in range(P.d)])
-        rows.append(np.all(Y <= y, axis=1).astype(float))
-        rhs.append(float(pmc[tuple(t)]))
-    del pmc
-
-    B = len(rows)
-    # variables: q_1..q_m, t, then one slack per inequality (2B of them)
-    nvar = m + 1 + 2 * B
-    A = np.zeros((2 * B + 1, nvar))
-    b = np.zeros(2 * B + 1)
-    for r in range(B):
-        # q.a - t <= P(B)   ->  q.a - t + s = P(B)
-        A[r, :m] = rows[r]
-        A[r, m] = -1.0
-        A[r, m + 1 + r] = 1.0
-        b[r] = rhs[r]
-        # q.a + t >= P(B)   ->  q.a + t - s' = P(B)
-        A[B + r, :m] = rows[r]
-        A[B + r, m] = 1.0
-        A[B + r, m + 1 + B + r] = -1.0
-        b[B + r] = rhs[r]
-    A[2 * B, :m] = 1.0
-    b[2 * B] = 1.0
-    c = np.zeros(nvar)
-    c[m] = 1.0
-    x, obj = solve_lp(c, A, b)
-    q = np.maximum(x[:m], 0.0)
-    q /= q.sum()
-    return q, float(obj)
+    member, mass = _supporting_boxes(P, budget)
+    return _inner_lp(member[:, support_idx], mass)
 
 
 @dataclass(frozen=True)
@@ -209,16 +198,16 @@ def _measure_on(P: DiscreteMeasure, support_idx: list, q: np.ndarray) -> Discret
     return DiscreteMeasure(P.atoms[support_idx], q)
 
 
-def _inner_distance(P: DiscreteMeasure, support_idx: list, exact_inner: bool,
+def _inner_distance(P: DiscreteMeasure, support_idx: list, boxes: tuple | None,
                     budget: int) -> tuple[np.ndarray, float]:
-    """(q, t) on the support sorted increasingly; q follows that order."""
+    """(q, t) on the support sorted increasingly; q follows that order.  With
+    P's supporting-box table ``boxes`` q is LP-optimal, else nearest-mass."""
     support_idx = sorted(support_idx)
-    if exact_inner:
-        q, t = optimal_inner_weights(P, support_idx, budget)
-    else:
-        q = _nearest_mass_weights(P, support_idx)
-        t = two_measure_star_disc(P, _measure_on(P, support_idx, q), budget)
-    return q, t
+    if boxes is not None:
+        member, mass = boxes
+        return _inner_lp(member[:, support_idx], mass)
+    q = _nearest_mass_weights(P, support_idx)
+    return q, two_measure_star_disc(P, _measure_on(P, support_idx, q), budget)
 
 
 def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
@@ -226,6 +215,7 @@ def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
     """Grow the support greedily, one atom at a time, smallest distance first."""
     if not (1 <= n <= P.n):
         raise ValueError("need 1 <= n <= number of atoms")
+    boxes = _supporting_boxes(P, budget) if exact_inner else None
     chosen: list[int] = []
     trace = []
     while len(chosen) < n:
@@ -234,7 +224,7 @@ def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
             if cand in chosen:
                 continue
             trial = chosen + [cand]
-            qc, t = _inner_distance(P, trial, exact_inner, budget)
+            qc, t = _inner_distance(P, trial, boxes, budget)
             if best is None or t < best[1] - 1e-15:
                 best = (cand, t, qc)
         chosen.append(best[0])
@@ -249,15 +239,16 @@ def backward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
     """Shrink the support greedily from the full set, best removal first."""
     if not (1 <= n <= P.n):
         raise ValueError("need 1 <= n <= number of atoms")
+    boxes = _supporting_boxes(P, budget) if exact_inner else None
     chosen = list(range(P.n))
     trace = [(P.n, 0.0)]
     if n == P.n:  # nothing to remove, but the weights still come from a solve
-        q, dist = _inner_distance(P, chosen, exact_inner, budget)
+        q, dist = _inner_distance(P, chosen, boxes, budget)
     while len(chosen) > n:
         best = None
         for cand in chosen:
             trial = [i for i in chosen if i != cand]
-            qc, t = _inner_distance(P, trial, exact_inner, budget)
+            qc, t = _inner_distance(P, trial, boxes, budget)
             if best is None or t < best[1] - 1e-15:
                 best = (cand, t, qc)
         chosen.remove(best[0])
@@ -378,8 +369,7 @@ class ReportCell:
 
 def quality_report(sets: dict, measures: list, exact_budget: int = 50_000_000,
                    delta: float = 0.1, ta_iterations: int = 2000,
-                   restarts: int = 3, seed: int = 0,
-                   lp_p: int = 4) -> list[ReportCell]:
+                   restarts: int = 3, seed: int = 0) -> list[ReportCell]:
     """Evaluate each requested measure on each named point set.
 
     Exact methods run where the budget allows; the star discrepancy falls
@@ -419,8 +409,8 @@ def quality_report(sets: dict, measures: list, exact_budget: int = 50_000_000,
                     value = l2.modified_l2_sq(X)
                     method = "warnock-weighted"
                 elif measure == "lp-even":
-                    value = lp.weighted_star_lp_pow(X, np.ones(X.d), lp_p)
-                    method = f"direct-p{lp_p}"
+                    value = lp.weighted_star_lp_pow(X, np.ones(X.d), 4)
+                    method = "direct-p4"
                 elif measure == "cover-upper":
                     res = cover_bounds(X, delta)
                     lower, upper = res.lower, res.upper

@@ -94,19 +94,27 @@ class PermutationConfig:
         return cls([random_permutation(p, rng) for p in primes(d)])
 
 
+def _radical_inverses(i: np.ndarray, p: int, perm: np.ndarray | None = None) -> np.ndarray:
+    """Base-``p`` digit reversal of every index in the int64 array ``i``, with
+    digits mapped through ``perm`` if given; no validation.  Digits are added
+    least significant first, so each value is the scalar digit loop's."""
+    i = np.asarray(i, dtype=np.int64)
+    inv = np.zeros(i.shape)
+    scale = 1.0 / p
+    while np.any(i > 0):
+        i, digit = np.divmod(i, p)
+        inv += (digit if perm is None else perm[digit]) * scale
+        scale /= p
+    return inv
+
+
 def radical_inverse(i: int, p: int) -> float:
-    """Base-``p`` digit reversal of ``i >= 1`` mapped into (0, 1)."""
+    """Base-``p`` digit reversal of ``1 <= i < 2**63`` mapped into (0, 1)."""
     if i < 1:
         raise ValueError("index must be >= 1")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    inv = 0.0
-    scale = 1.0 / p
-    while i > 0:
-        i, digit = divmod(i, p)
-        inv += digit * scale
-        scale /= p
-    return inv
+    return float(_radical_inverses(i, p))
 
 
 def scrambled_radical_inverse(i: int, p: int, pi) -> float:
@@ -119,14 +127,7 @@ def scrambled_radical_inverse(i: int, p: int, pi) -> float:
         raise ValueError("index must be >= 1")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    perm = _check_permutation(pi, p)
-    inv = 0.0
-    scale = 1.0 / p
-    while i > 0:
-        i, digit = divmod(i, p)
-        inv += perm[digit] * scale
-        scale /= p
-    return inv
+    return float(_radical_inverses(i, p, _check_permutation(pi, p)))
 
 
 def reverse_permutation(p: int) -> list[int]:
@@ -151,14 +152,11 @@ def halton(n: int, d: int, perms: PermutationConfig | None = None) -> PointSet:
         raise ValueError("need n >= 1 and d >= 1")
     if perms is not None and perms.d < d:
         raise ValueError(f"permutation config covers {perms.d} bases, need {d}")
-    bases = primes(d)
+    idx = np.arange(1, n + 1, dtype=np.int64)
     pts = np.empty((n, d))
-    for j, p in enumerate(bases):
-        if perms is None:
-            pts[:, j] = [radical_inverse(i, p) for i in range(1, n + 1)]
-        else:
-            pi = perms.permutations[j]
-            pts[:, j] = [scrambled_radical_inverse(i, p, pi) for i in range(1, n + 1)]
+    for j, p in enumerate(primes(d)):
+        perm = None if perms is None else np.asarray(perms.permutations[j], dtype=np.int64)
+        pts[:, j] = _radical_inverses(idx, p, perm)
     return PointSet(pts)
 
 

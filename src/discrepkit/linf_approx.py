@@ -19,7 +19,6 @@ discrepancy with its witness corner, hence always a valid lower bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -67,11 +66,6 @@ class DeltaCover:
         2^d (2 pi d)^(-1/2) e^d (1/delta + 1)^d; reported for context."""
         d = self.d
         return 2.0 ** d * (2 * math.pi * d) ** -0.5 * math.e ** d * (1.0 / self.delta + 1.0) ** d
-
-    def corners(self):
-        """Iterate all corners; intended for small covers only."""
-        for y in itertools.product(self.levels, repeat=self.d):
-            yield np.array(y)
 
     def bracket(self, y) -> tuple[np.ndarray, np.ndarray]:
         """A bracket x <= y <= z with V_z - V_x <= delta; x may touch 0."""

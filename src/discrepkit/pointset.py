@@ -216,13 +216,6 @@ class GridView:
             out *= len(v)
         return out
 
-    @property
-    def aug_grid_size(self) -> int:
-        out = 1
-        for v in self.aug_values:
-            out *= len(v)
-        return out
-
 
 def grid_view(X: PointSet) -> GridView:
     plain, aug = _grid_axes(X.points)
@@ -310,18 +303,22 @@ def _count_tensor(axes: list[np.ndarray], pts: np.ndarray, w: np.ndarray | None,
     return H
 
 
-def _critical_corner_masks(points: np.ndarray, plain: list, aug: list):
-    """Boolean tensors marking critical corners of the induced grids.
+def _critical_corners(points: np.ndarray, plain: list, aug: list,
+                      w: np.ndarray | None = None) -> list:
+    """Critical corners of the induced grids with their box contents.
 
-    Open side (augmented grid): a corner is critical when in every coordinate
-    either the value is 1 or some point sits exactly at the value while lying
-    strictly inside the box in all other coordinates.  Closed side (plain
-    grid): some point sits at the value while lying weakly inside elsewhere.
-    This single-coordinate rule leaves out the origin corner when no point
-    sits there, although it is vacuously deltabar-critical.
+    Returns [(corners, contents)] for the open side (augmented grid), then
+    the closed side (plain grid), each in grid order: ``corners`` is (B, d)
+    and ``contents`` the points in each box, counted, or weighed with ``w``.
+    Open side: a corner is critical when in every coordinate either the
+    value is 1 or some point sits exactly at the value while lying strictly
+    inside the box in all other coordinates.  Closed side: some point sits
+    at the value while lying weakly inside elsewhere.  This single-coordinate
+    rule leaves out the origin corner when no point sits there, although it
+    is vacuously deltabar-critical.
     """
     d = points.shape[1]
-    masks = []
+    out = []
     for axes, side in ((aug, "open"), (plain, "closed")):
         mask = np.ones(tuple(len(a) for a in axes), dtype=bool)
         for j in range(d):
@@ -334,8 +331,10 @@ def _critical_corner_masks(points: np.ndarray, plain: list, aug: list):
             if side == "open":  # a coordinate at 1 needs no enlargement witness
                 at_j[(slice(None),) * j + (-1,)] = True
             mask &= at_j
-        masks.append(mask)
-    return masks[0], masks[1]
+        idx = np.nonzero(mask)
+        corners = np.stack([axes[j][idx[j]] for j in range(d)], axis=1)
+        out.append((corners, _count_tensor(axes, points, w, side)[idx]))
+    return out
 
 
 def enumerate_critical(X: PointSet, k: int | None = None,
@@ -352,19 +351,14 @@ def enumerate_critical(X: PointSet, k: int | None = None,
     if total > budget:
         raise BudgetExceededError(
             f"induced grid has {total} corners, exceeding the budget of {budget}")
-    open_mask, closed_mask = _critical_corner_masks(X.points, plain, aug)
-    if all(v[0] == 0.0 for v in plain):
-        closed_mask[(0,) * X.d] = True  # no coordinate of the origin can shrink
-    out: list[CriticalCorner] = []
-    for axes, mask, side, kind in ((aug, open_mask, "open", "delta"),
-                                   (plain, closed_mask, "closed", "deltabar")):
-        counts = _count_tensor(axes, X.points, None, side)
-        for t in np.argwhere(mask):
-            cnt = int(counts[tuple(t)])
-            if k is None or cnt == k:
-                corner = np.array([axes[j][t[j]] for j in range(X.d)])
-                out.append(CriticalCorner(corner, kind, cnt))
-    return out
+    (open_y, open_c), (closed_y, closed_c) = _critical_corners(X.points, plain, aug)
+    if all(v[0] == 0.0 for v in plain) and not np.any(np.all(closed_y == 0.0, axis=1)):
+        # no coordinate of the origin can shrink: critical though empty
+        closed_y = np.vstack([np.zeros((1, X.d)), closed_y])
+        closed_c = np.append(0, closed_c)
+    return [CriticalCorner(y, kind, int(c))
+            for ys, cs, kind in ((open_y, open_c, "delta"), (closed_y, closed_c, "deltabar"))
+            for y, c in zip(ys, cs) if k is None or c == k]
 
 
 def _snap_down(y: np.ndarray, plain: list) -> np.ndarray:

@@ -205,3 +205,13 @@ def weighted_star_l2_sq_ext(pts, gamma, block=256):
         mins = np.minimum(1 - x[s:s + block, None, :], 1 - x[None, :, :])
         pair += np.sum(np.prod(1 + g2 * mins, axis=2), dtype=np.longdouble)
     return const - 2 * single / n + pair / (np.longdouble(n) * n)
+
+
+def pivot_row_loop(T, basis, row, col):
+    """Gauss-Jordan pivot on T[row, col], one tableau row at a time; rows
+    whose pivot-column entry is zero (either sign) are left untouched."""
+    T[row] /= T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] -= T[r, col] * T[row]
+    basis[row] = col

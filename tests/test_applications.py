@@ -10,7 +10,7 @@ from discrepkit import (DiscreteMeasure, PermutationConfig, PointSet,
                         midpoint_set, modified_l2_sq, optimal_inner_weights,
                         optimize_halton_permutations, quality_report,
                         two_measure_star_disc)
-from discrepkit._simplex import LPError, solve_lp
+from discrepkit._simplex import LPError, _pivot, solve_lp
 
 
 class TestSimplex:
@@ -23,6 +23,27 @@ class TestSimplex:
         # x1 + x2 = -1 with x >= 0 after sign flip becomes infeasible pair
         with pytest.raises(LPError):
             solve_lp([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+
+    def test_pivot_matches_row_loop(self):
+        # signed zeros planted in the pivot column and elsewhere: the rank-1
+        # update must skip the same rows and round every entry the same way
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            rows, cols = int(rng.integers(3, 10)), int(rng.integers(2, 12))
+            T = rng.normal(size=(rows, cols))
+            T[rng.random(T.shape) < 0.25] = 0.0
+            T[rng.random(T.shape) < 0.15] = -0.0
+            row, col = int(rng.integers(rows)), int(rng.integers(cols))
+            others = np.delete(np.arange(rows), row)
+            T[rng.choice(others, size=2, replace=False), col] = [0.0, -0.0]
+            T[row, col] = rng.choice([-1.0, 1.0]) * (0.5 + rng.random())
+            basis = rng.integers(0, cols, size=rows)
+            want_T, want_basis = T.copy(), basis.copy()
+            oracles.pivot_row_loop(want_T, want_basis, row, col)
+            _pivot(T, basis, row, col)
+            assert np.array_equal(basis, want_basis)
+            assert np.array_equal(T, want_T)
+            assert np.array_equal(np.signbit(T), np.signbit(want_T))
 
     def test_matches_scipy_on_random_instances(self):
         from scipy.optimize import linprog

@@ -1,12 +1,14 @@
-"""Seeded fingerprint of the heuristics, snapping, critical corners, reductions
-and CLI records.
+"""Seeded fingerprint of the heuristics, snapping, critical corners, reductions,
+CLI records, Halton generators and permutation search.
 
 Every value below comes from a fixed seed, so a refactor of the shared
-geometry must leave it bit for bit unchanged.  Floats are compared through
-``float.hex``.  The pinned values live in ``fingerprint.json`` next to this
-file; ``PYTHONPATH=src python tests/test_fingerprint.py`` prints the current
-fingerprint in that format.  L2 values are left out: their rounding is not
-part of the geometry.
+geometry or of the generators must leave it bit for bit unchanged.  Floats
+are compared through ``float.hex``.  The pinned values live in
+``fingerprint.json`` next to this file; ``PYTHONPATH=src python
+tests/test_fingerprint.py`` prints the current fingerprint in that format.
+L2 values are left out: their rounding is not part of the geometry.  The
+permutation search ranks candidates by them, so a change to that rounding
+may change the ``perms`` section.
 """
 
 import json
@@ -16,9 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from discrepkit import (DiscreteMeasure, PointSet, TAConfig, backward_selection,
-                        enumerate_critical, forward_selection, ga_lower_bound,
-                        snap_down, snap_up, ta_basic, ta_improved)
+from discrepkit import (DiscreteMeasure, PermutationConfig, PointSet, TAConfig,
+                        backward_selection, enumerate_critical, forward_selection,
+                        ga_lower_bound, halton, optimize_halton_permutations,
+                        radical_inverse, random_permutation, reverse_permutation,
+                        scrambled_radical_inverse, snap_down, snap_up, ta_basic,
+                        ta_improved)
 from discrepkit.cli import run_command, write_pointset
 
 PINNED = Path(__file__).with_name("fingerprint.json")
@@ -84,6 +89,21 @@ def _cli_records(tmp: Path):
     return out
 
 
+def _halton():
+    configs = {"plain": None, "reverse": PermutationConfig.reverse(8),
+               "random": PermutationConfig.random(8, 3)}
+    out = {name: _floats(halton(300, 8, cfg).points) for name, cfg in configs.items()}
+    scalar = []
+    for p in (2, 3, 5, 7, 11, 19):
+        rev, rnd = reverse_permutation(p), random_permutation(p, p)
+        for i in (1, 2, p - 1, p, p * p + 1, 12345, 123456789, 999999937, 10 ** 9):
+            scalar.append([i, p] + _floats([radical_inverse(i, p),
+                                            scrambled_radical_inverse(i, p, rev),
+                                            scrambled_radical_inverse(i, p, rnd)]))
+    out["scalar"] = scalar
+    return out
+
+
 def fingerprint(tmp: Path) -> dict:
     sets = _sets()
     fp: dict = {"ta_basic": {}, "ta_improved": {}, "ga": {}, "snap": {},
@@ -129,6 +149,9 @@ def fingerprint(tmp: Path) -> dict:
                         "atoms": _floats(res.measure.atoms),
                     }
     fp["cli"] = _cli_records(tmp)
+    fp["halton"] = _halton()
+    best = optimize_halton_permutations(5, 64, 4, 8, 4, seed=7)
+    fp["perms"] = [[int(v) for v in pi] for pi in best.permutations]
     return fp
 
 
