@@ -19,6 +19,7 @@ set, exact where the budget allows, falling back to bound intervals.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -88,13 +89,10 @@ class DiscreteMeasure:
         return cls(a, np.full(a.shape[0], 1.0 / a.shape[0]))
 
 
-def _grid_budget_check(axes: list, budget: int, what: str) -> None:
-    size = 1
-    for a in axes:
-        size *= len(a)
+def _check_budget(size: int, unit: str, budget: int, what: str) -> None:
     if size > budget:
         raise BudgetExceededError(
-            f"{what} needs {size} grid corners, exceeding the budget of "
+            f"{what} needs {size} {unit}, exceeding the budget of "
             f"{budget}; keep supports small or the dimension at 3 or less")
 
 
@@ -112,7 +110,7 @@ def two_measure_star_disc(P: DiscreteMeasure, Q: DiscreteMeasure,
     pts = np.vstack([P.atoms, Q.atoms])
     w = np.concatenate([P.probabilities, -Q.probabilities])
     plain, aug = _grid_axes(pts)
-    _grid_budget_check(aug, budget, "two-measure distance")
+    _check_budget(math.prod(map(len, aug)), "grid corners", budget, "two-measure distance")
     best = 0.0
     open_diff = _count_tensor(aug, pts, w, "open")
     best = max(best, float(np.max(np.abs(open_diff))))
@@ -125,11 +123,16 @@ def two_measure_star_disc(P: DiscreteMeasure, Q: DiscreteMeasure,
 def _supporting_boxes(P: DiscreteMeasure, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """The supporting boxes of P: a B x N matrix telling which atoms each box
     holds, and P's mass in each box.  They depend on P alone, so one table
-    serves every candidate support."""
+    serves every candidate support.  ``budget`` bounds the grid and the
+    entries of the largest phase-1 tableau :func:`_inner_lp` can build,
+    (2B+2) x (N+4B+3) for B boxes and N atoms."""
     plain, aug = _grid_axes(P.atoms)
-    _grid_budget_check(aug, budget, "inner weight optimization")
+    what = "inner weight optimization"
+    _check_budget(math.prod(map(len, aug)), "grid corners", budget, what)
     (open_y, open_m), (closed_y, closed_m) = _critical_corners(
         P.atoms, plain, aug, P.probabilities)
+    B = len(open_y) + len(closed_y)
+    _check_budget((2 * B + 2) * (P.n + 4 * B + 3), "simplex tableau entries", budget, what)
     member = np.vstack([np.all(P.atoms < open_y[:, None], axis=2),
                         np.all(P.atoms <= closed_y[:, None], axis=2)])
     return member, np.concatenate([open_m, closed_m])
@@ -395,7 +398,7 @@ def quality_report(sets: dict, measures: list, exact_budget: int = 50_000_000,
                         cell_seed = seed
                         lower = _best_ta(X, TAConfig(ta_iterations, seed=seed), restarts).lower
                         try:
-                            upper = cover_bounds(X, delta).upper
+                            upper = cover_bounds(X, delta, cap=exact_budget).upper
                         except BudgetExceededError:
                             upper = 1.0
                         method = "ta-lower/cover-upper"
@@ -412,7 +415,7 @@ def quality_report(sets: dict, measures: list, exact_budget: int = 50_000_000,
                     value = lp.weighted_star_lp_pow(X, np.ones(X.d), 4)
                     method = "direct-p4"
                 elif measure == "cover-upper":
-                    res = cover_bounds(X, delta)
+                    res = cover_bounds(X, delta, cap=exact_budget)
                     lower, upper = res.lower, res.upper
                     method = "cover"
                 elif measure == "ta-lower":

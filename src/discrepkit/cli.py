@@ -32,8 +32,8 @@ from .applications import (DiscreteMeasure, backward_selection, forward_selectio
 from .generators import (Graph, PermutationConfig, dominating_set_instance, halton,
                          midpoint_set, rank1_lattice)
 from .linf_approx import TAConfig, _best_ta, cover_bounds, ga_lower_bound
-from .linf_exact import (MarginalCDF, exact_method, star_1d, star_2d, star_3d,
-                         star_by_method, star_dem, star_grid_enum)
+from .linf_exact import (MarginalCDF, exact_method, star_1d, star_by_method,
+                         star_dem, star_grid_enum)
 from .pointset import (BudgetExceededError, PointSet, WeightedPointSet,
                        local_discrepancy, snap_down, snap_up)
 
@@ -92,11 +92,14 @@ def read_pointset(path: str) -> PointSet:
     return PointSet(np.array(rows))
 
 
+def _pointset_text(X: PointSet) -> str:
+    return f"# d={X.d} n={X.n}\n" + "".join(
+        " ".join(repr(float(c)) for c in row) + "\n" for row in X.points)
+
+
 def write_pointset(path: str, X: PointSet) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# d={X.d} n={X.n}\n")
-        for row in X.points:
-            fh.write(" ".join(repr(float(c)) for c in row) + "\n")
+        fh.write(_pointset_text(X))
 
 
 def read_measure(path: str) -> DiscreteMeasure:
@@ -482,10 +485,6 @@ def _cmd_selftest(args, report: RunReport) -> int:
         vals = {"grid": ref.value, "dem": star_dem(X).value}
         if d == 1:
             vals["1d"] = star_1d(X).value
-        if d == 2:
-            vals["2d"] = star_2d(X).value
-        if d == 3:
-            vals["3d"] = star_3d(X).value
         spread = max(vals.values()) - min(vals.values())
         ok = spread <= 1e-12
         if not ok:
@@ -535,16 +534,12 @@ def run_command(argv) -> tuple[int, RunReport]:
     try:
         if args.cmd == "gen":
             X = _cmd_gen(args, report)
-            lines = [f"# d={X.d} n={X.n}"]
-            lines += [" ".join(repr(float(c)) for c in row) for row in X.points]
-            text = "\n".join(lines) + "\n"
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                write_pointset(args.out, X)
                 report.add(written=args.out)
             else:
                 # raw point-set format on stdout so the output can be piped
-                report.raw_payload = text
+                report.raw_payload = _pointset_text(X)
             return EXIT_OK, report
         if args.cmd == "disc":
             _cmd_disc(args, report)

@@ -117,13 +117,11 @@ def cover_bounds(X: PointSet, delta: float, cap: int = 200_000_000) -> BoundResu
     """
     cover = build_delta_cover(X.d, delta, cap)
     axes = [cover.levels] * X.d
-    scale = 1.0 / X.n
-
     open_counts = _count_tensor(axes, X.points, None, "open")
-    best_open, idx_open = _grid_side_max(axes, axes, open_counts, +1, scale)
+    best_open, idx_open = _grid_side_max(axes, open_counts, +1, X.n)
     del open_counts
     closed_counts = _count_tensor(axes, X.points, None, "closed")
-    best_closed, idx_closed = _grid_side_max(axes, axes, closed_counts, -1, scale)
+    best_closed, idx_closed = _grid_side_max(axes, closed_counts, -1, X.n)
     del closed_counts
 
     if best_open >= best_closed:

@@ -10,14 +10,14 @@ module is a strategy for searching those grids:
 * :func:`star_grid_enum` -- full enumeration of the induced grids by a
   d-dimensional cumulative count tensor.  Also handles signed weights and a
   continuous marginal distribution function in place of Lebesgue volume.
-* :func:`star_2d`, :func:`star_3d` -- the incremental-sorting formulas of
-  De Clerck (1986) as generalized by Bundschuh and Zhu (1993), which do not
-  require distinct coordinates.
+* :func:`star_2d`, :func:`star_3d` -- grid enumeration, which outran the
+  O(n^2) and O(n^3) sweeps of De Clerck and Bundschuh-Zhu at every size tried.
 * :func:`star_dem` -- the decomposition scheme of Dobkin, Eppstein and
   Mitchell (1996) built on the Overmars-Yap partition: O(n^(d/2)) cells in
   which box counts separate per coordinate, each solved by a small dynamic
   program over (count, extremal volume) states.
-* :func:`star_exact` -- dispatcher with a work estimate and budget.
+* :func:`star_exact` -- dispatcher; every method but the 1-d formula checks
+  its cost against a budget first.
 
 Every result carries a witness corner; the returned value is always the
 local discrepancy recomputed at the witness, so callers can verify any
@@ -151,10 +151,15 @@ def _result_at(nu, y: np.ndarray, kind: str, G: MarginalCDF | None = None) -> St
     return StarResult(op if kind == "open" else cl, y.copy(), kind)
 
 
+def _check_dim(X: PointSet, method: str) -> None:
+    """Refuse a set whose dimension is not the one of ``method`` ("1d" to "3d")."""
+    if X.d != int(method[0]):
+        raise ValueError(f"star_{method} requires a {method[0]}-dimensional point set")
+
+
 def star_1d(X: PointSet) -> StarResult:
     """Exact star discrepancy in dimension one (Niederreiter's formula)."""
-    if X.d != 1:
-        raise ValueError("star_1d requires a one-dimensional point set")
+    _check_dim(X, "1d")
     n = X.n
     xs = np.sort(X.points[:, 0], kind="stable")
     i = np.arange(1, n + 1)
@@ -171,23 +176,23 @@ def star_1d(X: PointSet) -> StarResult:
 # grid enumeration via cumulative count tensors
 # ---------------------------------------------------------------------------
 
-def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray],
-                   counts: np.ndarray, sign: int,
-                   scale: float = 1.0) -> tuple[float, tuple]:
-    """Max over the corner grid of sign*(mu - scale*count), streamed along
-    axis 0.  mu is the product of per-axis factors.  Returns (best, index)."""
-    d = len(axes)
-    if d == 1:
-        vals = sign * (mu_axes[0] - scale * counts)
+def _grid_side_max(mu_axes: list[np.ndarray], counts: np.ndarray, sign: int,
+                   n: float) -> tuple[float, tuple]:
+    """Max over the corner grid of sign*(mu - count/n), streamed along axis 0.
+    mu is the product of per-axis factors, taken left to right as
+    :func:`local_values` takes it, so the maximum is bitwise the best value
+    any corner recomputes to.  Returns (best, index)."""
+    if len(mu_axes) == 1:
+        vals = sign * (mu_axes[0] - counts / n)
         t = int(np.argmax(vals))
         return float(vals[t]), (t,)
-    rest = mu_axes[-1]
-    for j in range(d - 2, 0, -1):
-        rest = np.multiply.outer(mu_axes[j], rest)
     best = -np.inf
     best_idx: tuple = ()
-    for t0 in range(len(axes[0])):
-        slab = sign * (mu_axes[0][t0] * rest - scale * counts[t0])
+    for t0 in range(len(mu_axes[0])):
+        mu = mu_axes[0][t0] * mu_axes[1]
+        for m in mu_axes[2:]:
+            mu = np.multiply.outer(mu, m)
+        slab = sign * (mu - counts[t0] / n)
         pos = int(np.argmax(slab))
         val = float(slab.reshape(-1)[pos])
         if val > best:
@@ -224,15 +229,15 @@ def star_grid_enum(nu, G: MarginalCDF | None = None,
             return vals
         return G.marginal(j, vals)
 
-    wts, scale = (None, 1.0 / pts.shape[0]) if is_plain else (w, 1.0)
+    wts, n = (None, pts.shape[0]) if is_plain else (w, 1.0)
     open_counts = _count_tensor(aug, pts, wts, "open")
     mu_open = [mu_axis(j, aug[j]) for j in range(d)]
-    best_open, idx_open = _grid_side_max(aug, mu_open, open_counts, +1, scale)
+    best_open, idx_open = _grid_side_max(mu_open, open_counts, +1, n)
     del open_counts
 
     closed_counts = _count_tensor(plain, pts, wts, "closed")
     mu_closed = [mu_axis(j, plain[j]) for j in range(d)]
-    best_closed, idx_closed = _grid_side_max(plain, mu_closed, closed_counts, -1, scale)
+    best_closed, idx_closed = _grid_side_max(mu_closed, closed_counts, -1, n)
     del closed_counts
 
     if best_open >= best_closed:
@@ -242,88 +247,16 @@ def star_grid_enum(nu, G: MarginalCDF | None = None,
     return _result_at(nu, y, "closed", G)
 
 
-# ---------------------------------------------------------------------------
-# dimension-specialized formulas
-# ---------------------------------------------------------------------------
-
 def star_2d(X: PointSet) -> StarResult:
-    """Exact star discrepancy in dimension two.
-
-    Points sorted by first coordinate; for each prefix the sorted second
-    coordinates xi_0 = 0 <= xi_1 <= ... <= xi_i <= xi_{i+1} = 1 are maintained
-    incrementally, and candidates k/n - x1_i * xi_k (closed) and
-    x1_{i+1} * xi_{k+1} - k/n (open) are scanned.  No distinctness assumption
-    is needed.
-    """
-    if X.d != 2:
-        raise ValueError("star_2d requires a two-dimensional point set")
-    n = X.n
-    order = np.argsort(X.points[:, 0], kind="stable")
-    P = X.points[order]
-    x1 = np.concatenate(([0.0], P[:, 0], [1.0]))
-    xi: list[float] = [0.0, 1.0]
-    best = -np.inf
-    best_corner = None
-    best_kind = "open"
-    for i in range(n + 1):
-        if i >= 1:
-            bisect.insort(xi, float(P[i - 1, 1]))
-        for k in range(i + 1):
-            closed_val = k / n - x1[i] * xi[k]
-            if closed_val > best:
-                best = closed_val
-                best_corner = (x1[i], xi[k])
-                best_kind = "closed"
-            open_val = x1[i + 1] * xi[k + 1] - k / n
-            if open_val > best:
-                best = open_val
-                best_corner = (x1[i + 1], xi[k + 1])
-                best_kind = "open"
-    return _result_at(X, np.array(best_corner), best_kind)
+    """Exact star discrepancy in dimension two, by grid enumeration."""
+    _check_dim(X, "2d")
+    return star_grid_enum(X)
 
 
 def star_3d(X: PointSet) -> StarResult:
-    """Exact star discrepancy in dimension three (Bundschuh-Zhu).
-
-    With sentinels (0,0,0) and (1,1,1) and points sorted by first coordinate,
-    the second coordinates of each prefix are kept sorted together with their
-    third components; for each prefix length i and each k the third
-    components of the k lowest second coordinates plus the sentinels are
-    sorted into eta, and candidates l/n - x1_i * xi_k * eta_l (closed) and
-    x1_{i+1} * xi_{k+1} * eta_{l+1} - l/n (open) are scanned.
-    """
-    if X.d != 3:
-        raise ValueError("star_3d requires a three-dimensional point set")
-    n = X.n
-    order = np.argsort(X.points[:, 0], kind="stable")
-    P = X.points[order]
-    x1 = np.concatenate(([0.0], P[:, 0], [1.0]))
-    # (second, third) pairs sorted by second coordinate, sentinels included
-    pairs: list[tuple[float, float]] = [(0.0, 0.0), (1.0, 1.0)]
-    best = -np.inf
-    best_corner = None
-    best_kind = "open"
-    for i in range(n + 1):
-        if i >= 1:
-            bisect.insort(pairs, (float(P[i - 1, 1]), float(P[i - 1, 2])))
-        eta: list[float] = [pairs[0][1], pairs[i + 1][1]]  # thirds of sentinels
-        for k in range(i + 1):
-            # eta holds sorted third components of pairs[0..k] plus pairs[i+1]
-            if k >= 1:
-                bisect.insort(eta, pairs[k][1])
-            xi_k, xi_k1 = pairs[k][0], pairs[k + 1][0]
-            for l in range(k + 1):
-                closed_val = l / n - x1[i] * xi_k * eta[l]
-                if closed_val > best:
-                    best = closed_val
-                    best_corner = (x1[i], xi_k, eta[l])
-                    best_kind = "closed"
-                open_val = x1[i + 1] * xi_k1 * eta[l + 1] - l / n
-                if open_val > best:
-                    best = open_val
-                    best_corner = (x1[i + 1], xi_k1, eta[l + 1])
-                    best_kind = "open"
-    return _result_at(X, np.array(best_corner), best_kind)
+    """Exact star discrepancy in dimension three, by grid enumeration."""
+    _check_dim(X, "3d")
+    return star_grid_enum(X)
 
 
 # ---------------------------------------------------------------------------
@@ -551,25 +484,31 @@ def exact_method(d: int) -> str:
 def star_by_method(X: PointSet, method: str, budget: int) -> StarResult:
     """Run the exact method named "1d", "2d", "3d" or "dem".
 
-    The decomposition first checks its n^(d/2+1) work estimate against
-    ``budget``; the dimension-specialized formulas run unchecked.
+    "2d" and "3d" enumerate the grid after checking the dimension and refuse
+    when its augmented corner count exceeds ``budget``; the decomposition
+    first checks its n^(d/2+1) work estimate against ``budget``.
     """
-    if method == "dem":
-        cost = dem_cost_estimate(X.n, X.d)
-        if cost > budget:
-            raise BudgetExceededError(
-                f"exact computation needs about {cost:.3g} box evaluations, "
-                f"exceeding the budget of {budget}; "
-                f"use cover_bounds or ta_improved from discrepkit.linf_approx")
-    return {"1d": star_1d, "2d": star_2d, "3d": star_3d, "dem": star_dem}[method](X)
+    if method == "1d":
+        return star_1d(X)
+    if method in ("2d", "3d"):
+        _check_dim(X, method)
+        return star_grid_enum(X, budget=budget)
+    cost = dem_cost_estimate(X.n, X.d)
+    if cost > budget:
+        raise BudgetExceededError(
+            f"exact computation needs about {cost:.3g} box evaluations, "
+            f"exceeding the budget of {budget}; "
+            f"use cover_bounds or ta_improved from discrepkit.linf_approx")
+    return star_dem(X)
 
 
 def star_exact(X: PointSet, budget: int = 50_000_000) -> StarResult:
     """Exact star discrepancy with dimension dispatch and a work budget.
 
-    Dimensions 1-3 use the specialized formulas; higher dimensions use the
-    decomposition when its n^(d/2+1) work estimate fits the budget, else a
-    budget error reports the estimated cost and suggests guaranteed or
-    heuristic bounds instead.
+    Dimension one uses Niederreiter's formula; dimensions two and three
+    enumerate the grid when its augmented corner count fits the budget;
+    higher dimensions use the decomposition when its n^(d/2+1) work estimate
+    fits.  Otherwise a budget error reports the cost and suggests guaranteed
+    or heuristic bounds instead.
     """
     return star_by_method(X, exact_method(X.d), budget)

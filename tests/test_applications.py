@@ -5,12 +5,13 @@ import pytest
 
 import oracles
 from conftest import random_pointset
-from discrepkit import (DiscreteMeasure, PermutationConfig, PointSet,
-                        backward_selection, forward_selection, halton,
-                        midpoint_set, modified_l2_sq, optimal_inner_weights,
-                        optimize_halton_permutations, quality_report,
-                        two_measure_star_disc)
+from discrepkit import (BudgetExceededError, DiscreteMeasure, PermutationConfig,
+                        PointSet, applications, backward_selection,
+                        forward_selection, halton, midpoint_set, modified_l2_sq,
+                        optimal_inner_weights, optimize_halton_permutations,
+                        quality_report, two_measure_star_disc)
 from discrepkit._simplex import LPError, _pivot, solve_lp
+from discrepkit.cli import run_command, write_measure
 
 
 class TestSimplex:
@@ -254,6 +255,24 @@ class TestSelection:
             f = forward_selection(P, 2, exact_inner=True)
             b = backward_selection(P, 2, exact_inner=True)
             assert f.distance == pytest.approx(b.distance, abs=1e-9)
+
+    def test_exact_inner_lp_honours_budget(self, tmp_path, monkeypatch):
+        # 100 atoms in d = 2: the grid has 101^2 = 10201 corners, well within
+        # the default budget, but P has 4839 supporting boxes and the phase-1
+        # tableau would hold about 1.9e8 entries
+        def no_lp(*args):
+            raise AssertionError("the tableau must be refused before it is built")
+
+        monkeypatch.setattr(applications, "_inner_lp", no_lp)
+        P = DiscreteMeasure.uniform(np.random.default_rng(29).random((100, 2)))
+        with pytest.raises(BudgetExceededError, match="188363120 simplex tableau entries"):
+            forward_selection(P, 5, exact_inner=True)
+        path = tmp_path / "measure.txt"
+        write_measure(str(path), P)
+        code, rep = run_command(["reduce", "--input", str(path), "--n", "5",
+                                 "--exact-inner"])
+        assert code == 3
+        assert "exceeding the budget of 2000000" in rep.records[-1]["error"]
 
     def test_trace_nonincreasing_observed(self):
         # empirical property of the greedy trace on this seeded family; the

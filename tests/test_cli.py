@@ -124,6 +124,16 @@ class TestCommands:
         err = rep.records[-1]["error"]
         assert "2.62e+05 box evaluations" in err and "budget of 1000" in err
 
+    @pytest.mark.parametrize("method", ["auto", "2d"])
+    def test_2d_honours_budget(self, tmp_path, method):
+        # 64 distinct points in d = 2: the augmented grid has 65^2 = 4225 corners
+        out = tmp_path / "pts.txt"
+        write_pointset(str(out), PointSet(np.random.default_rng(1).random((64, 2))))
+        code, rep = run(["disc", "--input", str(out), "--measure", "star-linf",
+                         "--method", method, "--budget", "1000"])
+        assert code == 3
+        assert "4225 corners" in rep.records[-1]["error"]
+
     def test_usage_error_exit_code(self):
         code, rep = run(["disc", "--measure", "star-linf"])  # missing --input
         assert code == 2

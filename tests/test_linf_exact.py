@@ -138,8 +138,8 @@ class TestStar2D3D:
         for _ in range(50):
             n = int(rng.integers(1, 65))
             X = random_pointset_with_ties(rng, n, 2)
-            a, b = star_2d(X), star_grid_enum(X)
-            assert abs(a.value - b.value) <= 1e-14
+            a = star_2d(X)
+            assert abs(a.value - oracles.brute_star(X.points)) <= 1e-14
             check_witness(X, a)
 
     def test_3d_single_point(self):
@@ -149,13 +149,15 @@ class TestStar2D3D:
         for _ in range(30):
             n = int(rng.integers(1, 33))
             X = random_pointset_with_ties(rng, n, 3)
-            a, b = star_3d(X), star_grid_enum(X)
-            assert abs(a.value - b.value) <= 1e-14
+            a = star_3d(X)
+            assert abs(a.value - oracles.brute_star(X.points)) <= 1e-14
             check_witness(X, a)
 
     def test_3d_halton_8(self):
         X = halton(8, 3)
-        assert abs(star_3d(X).value - star_grid_enum(X).value) <= 1e-14
+        a = star_3d(X)
+        assert abs(a.value - oracles.brute_star(X.points)) <= 1e-14
+        check_witness(X, a)
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
@@ -206,6 +208,14 @@ class TestDispatcher:
 
     def test_cost_estimate(self):
         assert dem_cost_estimate(16, 4) == pytest.approx(16.0 ** 3)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_low_dimensions_honour_budget(self, rng, d):
+        # 100 distinct points: the augmented grid has 101^d corners
+        X = random_pointset(rng, 100, d)
+        with pytest.raises(BudgetExceededError, match="budget of 1000"):
+            star_exact(X, budget=1000)
+        assert star_exact(X, budget=101 ** d).value == star_grid_enum(X).value
 
 
 class TestScaleProperty:
