@@ -15,17 +15,23 @@ polynomial sampling measure favoring large coordinates, and rounding onto
 critical boxes by snapping, and from a (mu+lambda) evolutionary scheme in
 the style of Shah (2010).  Every heuristic returns an achieved local
 discrepancy with its witness corner, hence always a valid lower bound.
+
+The heuristics count and snap on the rank-bitset workspace of ``pointset``:
+per axis and block of points, one Python int per grid position holds the
+points below it, so a box count is a popcount of ANDs and a snap a bisection
+over such ANDs.  Its memory is linear in n.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pointset import (BudgetExceededError, PointSet, _count_closed, _count_open,
-                       _count_tensor, _grid_axes, _snap_down, _snap_up)
+from .pointset import (BudgetExceededError, PointSet, _count_tensor, _snap_down,
+                       _Workspace)
 from .linf_exact import _grid_side_max, local_values
 
 __all__ = [
@@ -163,37 +169,12 @@ class TAConfig:
             raise ValueError("k must be >= 1")
 
 
-class _Workspace:
-    """Precomputed grids of one point set."""
-
-    def __init__(self, X: PointSet):
-        self.pts = X.points
-        self.d = X.d
-        self.vals, self.aug = _grid_axes(self.pts)
-        # snapped-down corners live on the grids extended by a 0 level
-        self.ext = [np.concatenate(([0.0], a)) if a[0] > 0.0 else a for a in self.aug]
-        self.sizes = np.array([len(a) for a in self.aug])
-
-    def corner(self, idx: np.ndarray) -> np.ndarray:
-        return np.array([self.aug[j][idx[j]] for j in range(self.d)])
-
-
-def _open_value(pts: np.ndarray, y: np.ndarray) -> float:
-    """Open-box local discrepancy V(y) - A(y)/n at a corner; no validation."""
-    return float(np.multiply.reduce(y)) - _count_open(pts, y) / len(pts)
-
-
-def _closed_value(pts: np.ndarray, y: np.ndarray) -> float:
-    """Closed-box local discrepancy A-bar(y)/n - V(y) at a corner."""
-    return _count_closed(pts, y) / len(pts) - float(np.multiply.reduce(y))
-
-
-def _star_value(pts: np.ndarray, y: np.ndarray) -> float:
-    return max(_open_value(pts, y), _closed_value(pts, y))
+def _random_index(ws: _Workspace, rng) -> list:
+    return [int(rng.integers(0, s)) for s in ws.sizes]
 
 
 def _thresholds(ws: _Workspace, iterations: int, schedule_length: int | None, rng,
-                move_change) -> tuple[np.ndarray, int]:
+                move_change) -> tuple[list, int]:
     """Threshold schedule from sampled neighbor pairs.
 
     Draws about sqrt(iterations) random grid corners, asks ``move_change``
@@ -207,14 +188,13 @@ def _thresholds(ws: _Workspace, iterations: int, schedule_length: int | None, rn
     J = max(4, math.isqrt(iterations - 1) + 1) if iterations > 1 else 4
     deltas = np.empty(J)
     for t in range(J):
-        idx = np.array([rng.integers(0, s) for s in ws.sizes])
-        deltas[t] = abs(move_change(idx))
+        deltas[t] = abs(move_change(_random_index(ws, rng)))
     if n_seg == 1:
-        return np.zeros(1), seg_len
+        return [0.0], seg_len
     qs = 0.5 + 0.5 * np.arange(n_seg) / (n_seg - 1)
     sched = np.quantile(-deltas, qs)
     sched[-1] = 0.0
-    return sched, seg_len
+    return sched.tolist(), seg_len
 
 
 def ta_basic(X: PointSet, cfg: TAConfig) -> BoundResult:
@@ -226,33 +206,33 @@ def ta_basic(X: PointSet, cfg: TAConfig) -> BoundResult:
     the current threshold.  Returns the best value seen; the upper bound is
     the uninformative 1.
     """
-    ws = _Workspace(X)
-    pts = ws.pts
+    ws = _Workspace(X.points)
     rng = np.random.default_rng(cfg.seed)
     mc = min(cfg.mc, ws.d)
 
-    def neighbor(idx: np.ndarray) -> np.ndarray:
-        out = idx.copy()
+    def neighbor(idx: list) -> list:
+        out = list(idx)
         coords = rng.choice(ws.d, size=mc, replace=False)
         steps = rng.integers(-cfg.k, cfg.k + 1, size=mc)
-        out[coords] = np.clip(out[coords] + steps, 0, ws.sizes[coords] - 1)
+        for j, step in zip(coords.tolist(), steps.tolist()):
+            out[j] = min(max(out[j] + step, 0), ws.sizes[j] - 1)
         return out
 
     def move_change(idx):
-        f = _star_value(pts, ws.corner(idx))
-        return _star_value(pts, ws.corner(neighbor(idx))) - f
+        f = ws.delta_star(ws.corner(idx))
+        return ws.delta_star(ws.corner(neighbor(idx))) - f
 
     sched, seg_len = _thresholds(ws, cfg.iterations, cfg.schedule_length, rng, move_change)
 
-    idx = np.array([rng.integers(0, s) for s in ws.sizes])
+    idx = _random_index(ws, rng)
     y = ws.corner(idx)
-    f = _star_value(pts, y)
+    f = ws.delta_star(y)
     best_f, best_y = f, y
     for it in range(cfg.iterations):
         T = sched[min(it // seg_len, len(sched) - 1)]
         idx2 = neighbor(idx)
         z = ws.corner(idx2)
-        fz = _star_value(pts, z)
+        fz = ws.delta_star(z)
         if fz > best_f:
             best_f, best_y = fz, z
         if fz - f >= T:
@@ -273,30 +253,31 @@ def ta_improved(X: PointSet, cfg: TAConfig) -> BoundResult:
     favors large coordinates.  The sample is rounded down and up onto
     critical corners by snapping; the closed phase optimizes the closed-box
     value of the down-snap, the open phase the open-box value of the up-snap,
-    and both snaps feed the overall best.  The neighborhood radius shrinks
-    linearly from half the grid size to 1 over the run.
+    and both snaps feed the overall best.  The neighborhood radius k shrinks
+    linearly from half the largest grid size to 1 over the run; ``cfg.k`` is
+    not used.
     """
-    ws = _Workspace(X)
-    pts, plain = ws.pts, ws.vals
+    ws = _Workspace(X.points)
     rng = np.random.default_rng(cfg.seed)
-    mc = min(cfg.mc, ws.d)
     d = ws.d
+    mc = min(cfg.mc, d)
+    # snapped-down corners live on the grids extended by a 0 level
+    ext = [[0.0] + a if a[0] > 0.0 else a for a in ws.aug]
 
     best = {"val": -np.inf, "y": None}
 
-    def track(val: float, y: np.ndarray) -> None:
+    def track(val: float, y: list) -> None:
         if val > best["val"]:
             best["val"] = val
             best["y"] = y
 
-    def sample_tilde(y: np.ndarray, k: int) -> np.ndarray:
-        out = y.copy()
-        coords = rng.choice(d, size=mc, replace=False)
-        for j in coords:
-            ext = ws.ext[j]
-            pos = int(np.searchsorted(ext, y[j]))
-            lo = ext[max(pos - k, 0)]
-            hi = ext[min(pos + k, len(ext) - 1)]
+    def sample_tilde(y: list, k: int) -> list:
+        out = list(y)
+        for j in rng.choice(d, size=mc, replace=False).tolist():
+            e = ext[j]
+            pos = bisect_left(e, y[j])
+            lo = e[max(pos - k, 0)]
+            hi = e[min(pos + k, len(e) - 1)]
             if hi <= lo:
                 out[j] = lo
                 continue
@@ -307,23 +288,22 @@ def ta_improved(X: PointSet, cfg: TAConfig) -> BoundResult:
     def run_phase(closed_phase: bool, iters: int) -> None:
         if iters < 1:
             return
-        start = np.array([rng.integers(0, s) for s in ws.sizes])
-        y0 = ws.corner(start)
+        y0 = ws.corner(_random_index(ws, rng))
         if closed_phase:
-            y = _snap_down(y0, plain)
-            f = _closed_value(pts, y)
+            y = _snap_down(y0, ws.plain)
+            f = ws.delta_bar(y)
         else:
-            y = _snap_up(y0, pts, rng)
-            f = _open_value(pts, y)
-        track(_star_value(pts, y), y)
-        k0 = max(1, int(np.max(ws.sizes)) // 2)
+            y = ws.snap_up(y0, rng)
+            f = ws.delta(y)
+        track(ws.delta_star(y), y)
+        k0 = max(1, max(ws.sizes) // 2)
 
         def move_change(idx):
             yy = ws.corner(idx)
             zt = sample_tilde(yy, k0)
             if closed_phase:
-                return _closed_value(pts, _snap_down(zt, plain)) - _closed_value(pts, yy)
-            return _open_value(pts, _snap_up(zt, pts, rng)) - _open_value(pts, yy)
+                return ws.delta_bar(_snap_down(zt, ws.plain)) - ws.delta_bar(yy)
+            return ws.delta(ws.snap_up(zt, rng)) - ws.delta(yy)
 
         sched, seg_len = _thresholds(ws, iters, cfg.schedule_length, rng, move_change)
         for it in range(iters):
@@ -331,10 +311,10 @@ def ta_improved(X: PointSet, cfg: TAConfig) -> BoundResult:
             frac = it / max(iters - 1, 1)
             k = max(1, int(round(k0 * (1.0 - frac) + 1.0 * frac)))
             zt = sample_tilde(y, k)
-            z_dn = _snap_down(zt, plain)
-            z_up = _snap_up(zt, pts, rng)
-            v_dn = _closed_value(pts, z_dn)
-            v_up = _open_value(pts, z_up)
+            z_dn = _snap_down(zt, ws.plain)
+            z_up = ws.snap_up(zt, rng)
+            v_dn = ws.delta_bar(z_dn)
+            v_up = ws.delta(z_up)
             track(v_dn, z_dn)
             track(v_up, z_up)
             if closed_phase:
@@ -351,7 +331,7 @@ def ta_improved(X: PointSet, cfg: TAConfig) -> BoundResult:
     op, cl = local_values(X, best["y"])
     return BoundResult(max(op, cl), 1.0, best["y"],
                        {"variant": "improved", "iterations": cfg.iterations,
-                        "mc": mc, "k": cfg.k, "seed": cfg.seed})
+                        "mc": mc, "seed": cfg.seed})
 
 
 def _best_ta(X: PointSet, cfg: TAConfig, restarts: int,
@@ -383,30 +363,28 @@ def ga_lower_bound(X: PointSet, mu: int, C: int, M: int, t: int,
     """
     if min(mu, C, M, t) < 1:
         raise ValueError("mu, C, M and t must all be >= 1")
-    ws = _Workspace(X)
+    ws = _Workspace(X.points)
     rng = np.random.default_rng(seed)
 
-    def fitness(idx: np.ndarray) -> float:
-        return _star_value(ws.pts, ws.corner(idx))
+    def fitness(idx: list) -> float:
+        return ws.delta_star(ws.corner(idx))
 
-    pop = [np.array([rng.integers(0, s) for s in ws.sizes]) for _ in range(mu)]
+    pop = [_random_index(ws, rng) for _ in range(mu)]
     fits = [fitness(p) for p in pop]
     best_f = max(fits)
-    best_y = ws.corner(pop[int(np.argmax(fits))])
+    best_y = ws.corner(pop[fits.index(best_f)])
     stagnant = 0
     while stagnant < t:
         children = []
         for _ in range(C):
             pa, pb = rng.integers(0, mu, size=2)
-            mask = rng.random(ws.d) < 0.5
-            child = np.where(mask, pop[pa], pop[pb])
-            children.append(child)
+            mask = (rng.random(ws.d) < 0.5).tolist()
+            children.append([a if m else b for m, a, b in zip(mask, pop[pa], pop[pb])])
         mixed = pop + children
         for _ in range(M):
-            src = mixed[rng.integers(0, len(mixed))]
-            out = src.copy()
-            j = rng.integers(0, ws.d)
-            out[j] = np.clip(out[j] + rng.choice((-1, 1)), 0, ws.sizes[j] - 1)
+            out = list(mixed[rng.integers(0, len(mixed))])
+            j = int(rng.integers(0, ws.d))
+            out[j] = min(max(out[j] + int(rng.choice((-1, 1))), 0), ws.sizes[j] - 1)
             children.append(out)
         allpop = pop + children
         allfits = fits + [fitness(c) for c in children]

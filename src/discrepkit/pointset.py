@@ -18,6 +18,7 @@ Discrepancy *values* carry rounding error; box membership never does.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,14 +159,16 @@ class LocalDiscrepancy:
 
 def _count_open(pts: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
     """Points of ``pts`` in the open box [0, y): their number, or with ``w``
-    their total weight.  No validation; the kernel of every open count."""
+    their total weight.  No validation; the kernel of one-off and weighted
+    open counts (the heuristics count on ``_Workspace``)."""
     inside = np.all(pts < y, axis=1)
     return int(np.count_nonzero(inside)) if w is None else float(np.sum(w[inside]))
 
 
 def _count_closed(pts: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
     """Points of ``pts`` in the closed box [0, y]: their number, or with ``w``
-    their total weight.  No validation; the kernel of every closed count."""
+    their total weight.  No validation; the kernel of one-off and weighted
+    closed counts (the heuristics count on ``_Workspace``)."""
     inside = np.all(pts <= y, axis=1)
     return int(np.count_nonzero(inside)) if w is None else float(np.sum(w[inside]))
 
@@ -361,31 +364,114 @@ def enumerate_critical(X: PointSet, k: int | None = None,
             for y, c in zip(ys, cs) if k is None or c == k]
 
 
-def _snap_down(y: np.ndarray, plain: list) -> np.ndarray:
-    """Floor every coordinate of ``y`` into ``plain[j] + {0}``; no validation."""
-    out = np.empty(len(plain))
-    for j, vals in enumerate(plain):
-        pos = np.searchsorted(vals, y[j], side="right")
-        out[j] = vals[pos - 1] if pos > 0 else 0.0
+# Points per block of the rank-bitset workspace.  Its bitsets take about
+# d * _BLOCK / 7.5 bytes per point, so memory stays linear in n, while each
+# count and snap does one pass of Python work per block.  Per-move times for
+# n = 64 ... 8192 fall with every doubling of the block
+# (scripts/block_size_timing.py); 2048 is the largest power of two that keeps
+# the workspace of 20,000 points in d = 3 below 32 MB.
+_BLOCK = 2048
+
+
+def _rank_bitsets(col: np.ndarray) -> tuple[list, list]:
+    """(vals, sets) of one coordinate column of a block: ``vals`` its
+    distinct values in increasing order, ``sets[t]`` the bitset of the
+    points (bit i for row i) with a value below ``vals[t]``, and a last
+    entry holding every point."""
+    vals, sets, acc = [], [], 0
+    order = np.argsort(col, kind="stable")
+    for i, v in zip(order.tolist(), col[order].tolist()):
+        if not vals or v != vals[-1]:
+            vals.append(v)
+            sets.append(acc)
+        acc |= 1 << i
+    sets.append(acc)
+    return vals, sets
+
+
+class _Workspace:
+    """Rank bitsets of one point set, for counts and snaps at many corners.
+
+    The points are split into blocks of at most ``_BLOCK``; each block keeps
+    per axis the ``_rank_bitsets`` of its own coordinates.  The open box
+    [0, y) of a block is the AND over the axes of sets[bisect_left(vals,
+    y_j)], the closed box [0, y] that of sets[bisect_right(vals, y_j)], and
+    a count is the popcount summed over the blocks.  The grids of the whole
+    set are kept as lists: ``plain``, ``aug`` and ``sizes`` (of ``aug``).
+    No validation; the kernel of every count and snap the heuristics make.
+    """
+
+    def __init__(self, pts: np.ndarray):
+        self.n, self.d = pts.shape
+        plain, aug = _grid_axes(pts)
+        self.plain = [v.tolist() for v in plain]
+        self.aug = [a.tolist() for a in aug]
+        self.sizes = [len(a) for a in self.aug]
+        self.blocks = []
+        for start in range(0, self.n, _BLOCK):
+            vals, sets = zip(*map(_rank_bitsets, pts[start:start + _BLOCK].T))
+            self.blocks.append((vals, sets))
+
+    def corner(self, idx: list) -> list:
+        return [a[t] for a, t in zip(self.aug, idx)]
+
+    def _count(self, y: list, side) -> int:
+        total = 0
+        for vals, sets in self.blocks:
+            inside = -1
+            for v, s, c in zip(vals, sets, y):
+                inside &= s[side(v, c)]
+            total += inside.bit_count()
+        return total
+
+    def delta(self, y: list) -> float:
+        """Open-box local discrepancy V(y) - A(y)/n."""
+        return math.prod(y) - self._count(y, bisect_left) / self.n
+
+    def delta_bar(self, y: list) -> float:
+        """Closed-box local discrepancy A-bar(y)/n - V(y)."""
+        return self._count(y, bisect_right) / self.n - math.prod(y)
+
+    def delta_star(self, y: list) -> float:
+        return max(self.delta(y), self.delta_bar(y))
+
+    def snap_up(self, y: list, rng) -> list:
+        """Raise the coordinates of ``y`` in the order ``rng.permutation(d)``,
+        each to the smallest j-th coordinate not below y_j of a point inside
+        the current box in every other coordinate, or to 1 if there is none.
+
+        ``run`` holds per block and axis the points below the current
+        corner; the smallest blocking value in a block is found by bisecting
+        over its grid positions with AND tests, and the blocks' minimum wins.
+        """
+        z = list(y)
+        run = [[s[bisect_left(v, c)] for v, s, c in zip(vals, sets, z)]
+               for vals, sets in self.blocks]
+        for j in rng.permutation(self.d).tolist():
+            zj = 1.0
+            for (vals, sets), below in zip(self.blocks, run):
+                v, s = vals[j], sets[j]
+                blocking = s[-1] & ~below[j]
+                for i, b in enumerate(below):
+                    if i != j:
+                        blocking &= b
+                hi = bisect_left(v, zj)  # only values below zj can lower it
+                if blocking & s[hi]:
+                    zj = v[bisect_right(s, 0, 0, hi, key=blocking.__and__) - 1]
+            z[j] = zj
+            for (vals, sets), below in zip(self.blocks, run):
+                below[j] = sets[j][bisect_left(vals[j], zj)]
+        return z
+
+
+def _snap_down(y, plain: list) -> list:
+    """Floor every coordinate of ``y`` into ``plain[j] + {0}``; no validation.
+    The grids may be lists (fastest per call) or arrays (no conversion)."""
+    out = []
+    for vals, c in zip(plain, y):
+        pos = bisect_right(vals, c)
+        out.append(vals[pos - 1] if pos else 0.0)
     return out
-
-
-def _snap_up(y: np.ndarray, pts: np.ndarray, rng) -> np.ndarray:
-    """Raise coordinates of ``y`` in a random order until each is blocked by
-    a point; no validation.  Per-point counts of coordinates below the
-    current corner are kept up to date, so each step is one vector pass."""
-    d = pts.shape[1]
-    z = y.copy()
-    less = pts < z
-    cnt = less.sum(axis=1)
-    for j in rng.permutation(d):
-        others = (cnt - less[:, j]) == d - 1
-        blocked = pts[others & (pts[:, j] >= y[j]), j]
-        z[j] = blocked.min() if blocked.size else 1.0
-        new_col = pts[:, j] < z[j]
-        cnt += new_col.astype(np.int64) - less[:, j]
-        less[:, j] = new_col
-    return z
 
 
 def snap_down(y, X: PointSet) -> np.ndarray:
@@ -396,7 +482,7 @@ def snap_down(y, X: PointSet) -> np.ndarray:
     point, so the closed count is preserved and the closed-box local
     discrepancy never decreases.  The floor is unique, hence deterministic.
     """
-    return _snap_down(_as_corner(y, X.d), _grid_axes(X.points)[0])
+    return np.array(_snap_down(_as_corner(y, X.d), _grid_axes(X.points)[0]))
 
 
 def snap_up(y, X: PointSet, rng) -> np.ndarray:
@@ -408,5 +494,5 @@ def snap_up(y, X: PointSet, rng) -> np.ndarray:
     maximal: raising any single coordinate further would capture a point.  The
     open-box local discrepancy never decreases.
     """
-    rng = np.random.default_rng(rng)
-    return _snap_up(_as_corner(y, X.d), X.points, rng)
+    yv = _as_corner(y, X.d).tolist()
+    return np.array(_Workspace(X.points).snap_up(yv, np.random.default_rng(rng)))

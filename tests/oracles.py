@@ -215,3 +215,24 @@ def pivot_row_loop(T, basis, row, col):
         if r != row and T[r, col] != 0.0:
             T[r] -= T[r, col] * T[row]
     basis[row] = col
+
+
+def snap_up_vector(pts, y, rng):
+    """Snap-up with per-point counts of the coordinates below the current
+    corner, one vector pass per coordinate: coordinates in the order
+    ``rng.permutation(d)``, each raised to the smallest value not below y_j
+    among points strictly below the corner in every other coordinate, or to
+    1 if there is none."""
+    pts = np.asarray(pts, dtype=np.float64)
+    d = pts.shape[1]
+    z = np.array(y, dtype=np.float64)
+    less = pts < z
+    cnt = less.sum(axis=1)
+    for j in rng.permutation(d):
+        others = (cnt - less[:, j]) == d - 1
+        blocked = pts[others & (pts[:, j] >= z[j]), j]
+        z[j] = blocked.min() if blocked.size else 1.0
+        new_col = pts[:, j] < z[j]
+        cnt += new_col.astype(np.int64) - less[:, j]
+        less[:, j] = new_col
+    return z

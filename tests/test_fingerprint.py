@@ -58,8 +58,31 @@ def _sets():
     }
 
 
+def _large_sets():
+    """Hundreds of points, and more points than one block of the rank-bitset
+    workspace holds."""
+    rng = np.random.default_rng(4712)
+    return {
+        "random-5d-300": PointSet(rng.random((300, 5))),
+        "tied-7d-500": _tied(rng, 500, 7, np.arange(16) / 16),
+        "random-4d-4500": PointSet(rng.random((4500, 4))),
+    }
+
+
 def _bound(res):
     return {"lower": float(res.lower).hex(), "witness": _floats(res.witness)}
+
+
+def _snaps(X):
+    rng = np.random.default_rng(14)
+    snaps = []
+    for t in range(12):
+        y = rng.random(X.d)
+        if t % 3 == 0:  # corners on the grid and at its edges
+            y = X.points[t % X.n].copy()
+            y[t % X.d] = 1.0 if t % 2 else 0.0
+        snaps.append(_floats(snap_down(y, X)) + _floats(snap_up(y, X, 1000 + t)))
+    return snaps
 
 
 def _cli_records(tmp: Path):
@@ -112,18 +135,18 @@ def fingerprint(tmp: Path) -> dict:
         fp["ta_basic"][name] = _bound(ta_basic(X, TAConfig(400, mc=2, k=3, seed=11)))
         fp["ta_improved"][name] = _bound(ta_improved(X, TAConfig(400, seed=12)))
         fp["ga"][name] = _bound(ga_lower_bound(X, 6, 4, 4, 8, seed=13))
-        rng = np.random.default_rng(14)
-        snaps = []
-        for t in range(12):
-            y = rng.random(X.d)
-            if t % 3 == 0:  # corners on the grid and at its edges
-                y = X.points[t % X.n].copy()
-                y[t % X.d] = 1.0 if t % 2 else 0.0
-            snaps.append(_floats(snap_down(y, X)) + _floats(snap_up(y, X, 1000 + t)))
-        fp["snap"][name] = snaps
+        fp["snap"][name] = _snaps(X)
         if X.n <= 16:
             fp["critical"][name] = [[c.kind, c.count] + _floats(c.corner)
                                     for c in enumerate_critical(X)]
+    fp["large"] = {}
+    for name, X in _large_sets().items():
+        fp["large"][name] = {
+            "ta_basic": _bound(ta_basic(X, TAConfig(300, mc=2, k=3, seed=21))),
+            "ta_improved": _bound(ta_improved(X, TAConfig(300, seed=22))),
+            "ga": _bound(ga_lower_bound(X, 6, 4, 4, 8, seed=23)),
+            "snap": _snaps(X),
+        }
 
     rng = np.random.default_rng(15)
     measures = {

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from discrepkit import (BudgetExceededError, PointSet, TAConfig,
                         build_delta_cover, cover_bounds, ga_lower_bound,
                         halton, local_discrepancy, midpoint_set, star_2d,
                         star_exact, ta_basic, ta_improved)
+from discrepkit.pointset import _Workspace
 
 
 def check_lower_is_achieved(X, res):
@@ -143,6 +146,23 @@ class TestTAImproved:
             want = d / (d + 1)
             se = vals.std() / np.sqrt(len(vals))
             assert abs(vals.mean() - want) < 3 * se
+
+
+class TestLargeSets:
+    def test_workspace_memory_linear_and_bound_sound(self):
+        # one block over all 20,000 points would hold about 150 MB of bitsets
+        X = PointSet(np.random.default_rng(31).random((20_000, 3)))
+        tracemalloc.start()
+        try:
+            ws = _Workspace(X.points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ws.blocks) > 1
+        assert peak < 32 * 2 ** 20
+        res = ta_improved(X, TAConfig(300, seed=3))
+        check_lower_is_achieved(X, res)
+        assert res.lower <= cover_bounds(X, 0.05).upper
 
 
 class TestGALowerBound:

@@ -9,6 +9,7 @@ from discrepkit import (BudgetExceededError, PointSet, WeightedPointSet,
                         classify_critical, enumerate_critical, grid_view,
                         local_discrepancy, snap_down, snap_up, star_exact,
                         volume)
+from discrepkit.pointset import _BLOCK, _Workspace
 
 
 class TestTypes:
@@ -273,6 +274,59 @@ class TestSnapUp:
             z2 = z.copy()
             z2[j] = nxt
             assert local_discrepancy(z2, X).open_count > base
+
+
+class TestWorkspace:
+    """The rank-bitset kernel against the loop oracles: counts at grid,
+    off-grid, 0 and 1 corners, and snap-up against the vector algorithm, on
+    sets that fit one 64-bit word, span several words, or span blocks."""
+
+    @staticmethod
+    def _sets(rng):
+        for n in (40, 300, _BLOCK + 300):
+            d = 3 if n > _BLOCK else 5
+            yield rng.random((n, d))
+            yield np.floor(rng.random((n, d)) * 6) / 6  # ties, zeros among them
+            pts = rng.random((n, d))
+            pts[rng.random((n, d)) < 0.3] = 0.0
+            yield pts
+
+    @staticmethod
+    def _corners(rng, ws, pts):
+        n, d = pts.shape
+        for t in range(24):
+            if t % 4 == 0:
+                y = [ws.aug[j][rng.integers(0, ws.sizes[j])] for j in range(d)]
+            elif t % 4 == 1:  # a point with one coordinate at 0 or 1
+                y = pts[rng.integers(0, n)].tolist()
+                y[t % d] = 1.0 if t % 8 == 1 else 0.0
+            else:
+                y = rng.random(d).tolist()
+            yield y
+
+    def test_counts_match_oracle(self, rng):
+        for pts in self._sets(rng):
+            ws = _Workspace(pts)
+            for y in self._corners(rng, ws, pts):
+                vol = oracles.box_volume(y)
+                a = oracles.open_count(pts, y)
+                ab = oracles.closed_count(pts, y)
+                assert ws.delta(y) == vol - a / len(pts)
+                assert ws.delta_bar(y) == ab / len(pts) - vol
+
+    def test_snap_up_matches_vector_algorithm(self, rng):
+        for pts in self._sets(rng):
+            ws = _Workspace(pts)
+            for t, y in enumerate(self._corners(rng, ws, pts)):
+                want = oracles.snap_up_vector(pts, y, np.random.default_rng(t))
+                got = ws.snap_up(y, np.random.default_rng(t))
+                assert got == want.tolist()
+
+    def test_blocks_hold_at_most_block_points(self, rng):
+        ws = _Workspace(rng.random((2 * _BLOCK + 1, 2)))
+        assert len(ws.blocks) == 3
+        for vals, sets in ws.blocks:
+            assert all(s[-1].bit_length() <= _BLOCK for s in sets)
 
 
 class TestInvariants:
