@@ -1,6 +1,7 @@
-"""Minimal dense two-phase simplex with Bland's rule.
+"""Minimal dense simplex with Bland's rule, started from a feasible basis.
 
-Solves  min c.x  subject to  A x = b, x >= 0  on small dense instances.
+Solves  min c.x  subject to  A x = b, x >= 0  on small dense instances.  The
+caller supplies a feasible basis, one column per row; there is no phase 1.
 Bland's pivoting rule (smallest eligible index) excludes cycling, which
 matters here because the scenario-reduction programs are heavily degenerate.
 Intended for desk-scale sizes, a few hundred rows at most.
@@ -16,7 +17,7 @@ _EPS = 1e-9
 
 
 class LPError(RuntimeError):
-    """Infeasible, unbounded, or numerically degenerate program."""
+    """Unbounded program, or a singular or infeasible starting basis."""
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -46,50 +47,26 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> None:
         _pivot(T, basis, row, col)
 
 
-def solve_lp(c, A, b) -> tuple[np.ndarray, float]:
-    """Solve min c.x s.t. A x = b, x >= 0; returns (x, objective)."""
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    m, n = A.shape
-    if b.shape[0] != m or c.shape[0] != n:
+def solve_lp(c, A, b, basis) -> tuple[np.ndarray, float]:
+    """Solve min c.x s.t. A x = b, x >= 0, starting from the feasible basis
+    ``basis`` (column basis[r] basic in row r); returns (x, objective)."""
+    m, n = np.shape(A)
+    basis = np.array(basis, dtype=np.intp)
+    if np.shape(b) != (m,) or np.shape(c) != (n,) or basis.shape != (m,):
         raise ValueError("inconsistent LP shapes")
 
-    A = A.copy()
-    b = b.copy()
-    neg = b < 0.0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # phase 1: artificial basis, minimize the artificial mass
-    T = np.zeros((m + 1, n + m + 1))
+    T = np.zeros((m + 1, n + 1))  # the copy converts A, b and c to float64
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
     T[:m, -1] = b
-    basis = np.arange(n, n + m)
-    T[-1, :n] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
-    _run_simplex(T, basis, n + m)
-    if T[-1, -1] < -1e-7:
-        raise LPError("linear program is infeasible")
-    # drive remaining artificials out of the basis where possible
-    for r in range(m):
-        if basis[r] >= n:
-            piv = np.flatnonzero(np.abs(T[r, :n]) > _EPS)
-            if piv.size:
-                _pivot(T, basis, r, piv[0])
-
-    # rows still basic in an artificial are redundant zero rows; drop them
-    rows = np.flatnonzero(basis < n)
-    T2 = np.zeros((len(rows) + 1, n + 1))
-    T2[:-1, :n] = T[rows, :n]
-    T2[:-1, -1] = T[rows, -1]
-    basis2 = basis[rows]
-    T2[-1, :n] = c
-    for t in range(len(rows)):
-        T2[-1] -= T2[-1, basis2[t]] * T2[t]
-    _run_simplex(T2, basis2, n)
+    T[-1, :n] = c
+    for row, col in enumerate(basis):  # canonical form for the given basis
+        if abs(T[row, col]) <= _EPS:
+            raise LPError("starting basis is singular")
+        _pivot(T, basis, row, col)
+    if np.any(T[:m, -1] < -_EPS):
+        raise LPError("starting basis is infeasible")
+    _run_simplex(T, basis, n)
 
     x = np.zeros(n)
-    x[basis2] = T2[: len(rows), -1]
+    x[basis] = T[:m, -1]
     return x, float(np.dot(c, x))

@@ -124,15 +124,15 @@ def _supporting_boxes(P: DiscreteMeasure, budget: int) -> tuple[np.ndarray, np.n
     """The supporting boxes of P: a B x N matrix telling which atoms each box
     holds, and P's mass in each box.  They depend on P alone, so one table
     serves every candidate support.  ``budget`` bounds the grid and the
-    entries of the largest phase-1 tableau :func:`_inner_lp` can build,
-    (2B+2) x (N+4B+3) for B boxes and N atoms."""
+    entries of the largest simplex tableau :func:`_inner_lp` can build,
+    (2B+2) x (N+2B+2) for B boxes and N atoms."""
     plain, aug = _grid_axes(P.atoms)
     what = "inner weight optimization"
     _check_budget(math.prod(map(len, aug)), "grid corners", budget, what)
     (open_y, open_m), (closed_y, closed_m) = _critical_corners(
         P.atoms, plain, aug, P.probabilities)
     B = len(open_y) + len(closed_y)
-    _check_budget((2 * B + 2) * (P.n + 4 * B + 3), "simplex tableau entries", budget, what)
+    _check_budget((2 * B + 2) * (P.n + 2 * B + 2), "simplex tableau entries", budget, what)
     member = np.vstack([np.all(P.atoms < open_y[:, None], axis=2),
                         np.all(P.atoms <= closed_y[:, None], axis=2)])
     return member, np.concatenate([open_m, closed_m])
@@ -154,7 +154,13 @@ def _inner_lp(member: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, float]:
     b = np.concatenate([mass, mass, [1.0]])
     c = np.zeros(A.shape[1])
     c[m] = 1.0
-    x, obj = solve_lp(c, A, b)
+    # feasible start: all mass on the first atom, t basic in the row of the
+    # largest deviation, the other 2B - 1 slacks basic in their own rows
+    dev = member[:, 0] - mass
+    basis = m + 1 + np.arange(2 * B + 1)
+    basis[np.argmax(np.concatenate([dev, -dev]))] = m
+    basis[2 * B] = 0
+    x, obj = solve_lp(c, A, b, basis)
     q = np.maximum(x[:m], 0.0)
     q /= q.sum()
     return q, float(obj)
@@ -213,6 +219,9 @@ def _inner_distance(P: DiscreteMeasure, support_idx: list, boxes: tuple | None,
     return q, two_measure_star_disc(P, _measure_on(P, support_idx, q), budget)
 
 
+_TIE = 1e-9  # candidates this close to the incumbent tie; the earlier wins
+
+
 def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
                       budget: int = 2_000_000) -> ReductionResult:
     """Grow the support greedily, one atom at a time, smallest distance first."""
@@ -228,7 +237,7 @@ def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
                 continue
             trial = chosen + [cand]
             qc, t = _inner_distance(P, trial, boxes, budget)
-            if best is None or t < best[1] - 1e-15:
+            if best is None or t < best[1] - _TIE:
                 best = (cand, t, qc)
         chosen.append(best[0])
         dist, q = best[1], best[2]
@@ -252,7 +261,7 @@ def backward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
         for cand in chosen:
             trial = [i for i in chosen if i != cand]
             qc, t = _inner_distance(P, trial, boxes, budget)
-            if best is None or t < best[1] - 1e-15:
+            if best is None or t < best[1] - _TIE:
                 best = (cand, t, qc)
         chosen.remove(best[0])
         dist, q = best[1], best[2]

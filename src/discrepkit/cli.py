@@ -274,7 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     di.add_argument("--iterations", type=int, default=10000)
     di.add_argument("--restarts", type=int, default=1)
     di.add_argument("--mc", type=int, default=2)
-    di.add_argument("--k", type=int, default=8)
+    di.add_argument("--k", type=int, default=8,
+                    help="grid radius of --variant basic; improved ignores it")
     di.add_argument("--mu", type=int, default=8)
     di.add_argument("--lambda-c", type=int, default=8, dest="lambda_c")
     di.add_argument("--lambda-m", type=int, default=8, dest="lambda_m")

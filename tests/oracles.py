@@ -236,3 +236,32 @@ def snap_up_vector(pts, y, rng):
         cnt += new_col.astype(np.int64) - less[:, j]
         less[:, j] = new_col
     return z
+
+
+def inner_optimum_highs(atoms, probs, support):
+    """Best probabilities on P's atoms[support] by HiGHS: min t subject to
+    |P(B) - Q(B)| <= t for every open box with its corner on the augmented
+    union grid and every closed box with its corner on the plain union grid
+    (the support lies in P's atoms, so the union grid is P's).  Returns (q, t)."""
+    from scipy.optimize import linprog
+    pts = [tuple(map(float, x)) for x in np.atleast_2d(atoms)]
+    probs = [float(p) for p in probs]
+    support = [int(i) for i in support]
+    m = len(support)
+    plain, aug = grid_axes(pts)
+    rows, rhs = [], []
+    for grid, closed in ((aug, False), (plain, True)):
+        for y in itertools.product(*grid):
+            inside = [all(c <= yc if closed else c < yc for c, yc in zip(x, y))
+                      for x in pts]
+            mass = sum(p for p, i in zip(probs, inside) if i)
+            a = [1.0 if inside[i] else 0.0 for i in support]
+            rows.append(a + [-1.0])                 # Q(B) - t <= P(B)
+            rhs.append(mass)
+            rows.append([-v for v in a] + [-1.0])   # P(B) - Q(B) <= t
+            rhs.append(-mass)
+    res = linprog([0.0] * m + [1.0], A_ub=rows, b_ub=rhs,
+                  A_eq=[[1.0] * m + [0.0]], b_eq=[1.0], bounds=(0, None),
+                  method="highs")
+    assert res.status == 0, res.message
+    return res.x[:m], float(res.fun)

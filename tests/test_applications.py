@@ -1,4 +1,5 @@
 import itertools
+import zlib
 
 import numpy as np
 import pytest
@@ -16,14 +17,18 @@ from discrepkit.cli import run_command, write_measure
 
 class TestSimplex:
     def test_tiny_lp(self):
-        # min -x1 - x2  s.t.  x1 + x2 + s = 1
-        x, obj = solve_lp([-1.0, -1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0])
+        # min -x1 - x2  s.t.  x1 + x2 + s = 1, from the slack basis
+        x, obj = solve_lp([-1.0, -1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], [2])
         assert obj == pytest.approx(-1.0, abs=1e-12)
 
     def test_infeasible(self):
-        # x1 + x2 = -1 with x >= 0 after sign flip becomes infeasible pair
-        with pytest.raises(LPError):
-            solve_lp([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+        # the caller's starting basis is checked: a singular one (a repeated
+        # column) and an infeasible one (x2 = -1) are both refused
+        A = [[1.0, 1.0, 1.0, 0.0], [1.0, 2.0, 0.0, 1.0]]
+        with pytest.raises(LPError, match="singular"):
+            solve_lp([1.0, 1.0, 0.0, 0.0], A, [1.0, 1.0], [2, 2])
+        with pytest.raises(LPError, match="infeasible"):
+            solve_lp([1.0, 1.0, 0.0, 0.0], A, [1.0, 0.0], [0, 1])
 
     def test_pivot_matches_row_loop(self):
         # signed zeros planted in the pivot column and elsewhere: the rank-1
@@ -47,26 +52,27 @@ class TestSimplex:
             assert np.array_equal(np.signbit(T), np.signbit(want_T))
 
     def test_matches_scipy_on_random_instances(self):
+        # [A' | I] x = b with b >= 0: the slack columns are a feasible basis
         from scipy.optimize import linprog
         rng = np.random.default_rng(7)
+        unbounded = 0
         for _ in range(25):
-            m, n = int(rng.integers(1, 6)), int(rng.integers(2, 8))
-            A = rng.normal(size=(m, n))
-            x_feas = rng.random(n)
-            b = A @ x_feas  # feasible by construction
-            c = rng.normal(size=n)
+            m, k = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            A = np.hstack([rng.normal(size=(m, k)), np.eye(m)])
+            b = rng.random(m)
+            c = rng.normal(size=k + m)
             ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-            try:
-                x, obj = solve_lp(c, A, b)
-            except LPError:
-                assert ref.status in (2, 3)  # infeasible or unbounded
-                continue
+            assert ref.status in (0, 3)  # optimal or unbounded
             if ref.status == 3:
-                continue  # unbounded reference; Bland would have raised
-            assert ref.status == 0
+                unbounded += 1
+                with pytest.raises(LPError, match="unbounded"):
+                    solve_lp(c, A, b, np.arange(k, k + m))
+                continue
+            x, obj = solve_lp(c, A, b, np.arange(k, k + m))
             assert obj == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
             assert np.allclose(A @ x, b, atol=1e-7)
             assert np.all(x >= -1e-9)
+        assert 0 < unbounded < 25
 
 
 class TestDiscreteMeasure:
@@ -160,6 +166,31 @@ class TestInnerWeights:
             q, t = optimal_inner_weights(P, sel)
             uni = DiscreteMeasure(P.atoms[sel], np.full(3, 1 / 3))
             assert t <= two_measure_star_disc(P, uni) + 1e-9
+
+    def test_matches_highs_optimum(self):
+        # the optimum of an independent LP over the whole union grid
+        levels = np.arange(9) / 8
+        rng = np.random.default_rng(37)
+        for kind in ("uniform", "weighted", "quantized"):
+            for d in (1, 2, 3):
+                for _ in range(4):
+                    N = int(rng.integers(2, 8))
+                    if kind == "quantized":  # atoms at 0 and at 1 included
+                        cells = [0, 9 ** d - 1] + rng.choice(
+                            np.arange(1, 9 ** d - 1), size=N - 2, replace=False).tolist()
+                        atoms = levels[np.array(np.unravel_index(cells, (9,) * d)).T]
+                    else:
+                        atoms = rng.random((N, d))
+                    P = (DiscreteMeasure(atoms, rng.dirichlet(np.ones(N)))
+                         if kind == "weighted" else DiscreteMeasure.uniform(atoms))
+                    k = int(rng.integers(1, N + 1))
+                    sel = sorted(rng.choice(N, size=k, replace=False).tolist())
+                    q, t = optimal_inner_weights(P, sel)
+                    _, want = oracles.inner_optimum_highs(P.atoms, P.probabilities, sel)
+                    assert abs(t - want) <= 1e-9
+                    assert np.all(q >= 0.0) and abs(q.sum() - 1.0) <= 1e-12
+                    Q = DiscreteMeasure(P.atoms[sel], q)
+                    assert abs(two_measure_star_disc(P, Q) - t) <= 1e-9
 
 
 def exhaustive_best_subset(P, n):
@@ -256,16 +287,38 @@ class TestSelection:
             b = backward_selection(P, 2, exact_inner=True)
             assert f.distance == pytest.approx(b.distance, abs=1e-9)
 
+    def test_supports_ignore_lp_rounding_noise(self, monkeypatch):
+        # tied candidates must not be told apart by the LP's last bits: six
+        # uniform atoms in d = 3 reduced backward to one atom end on two
+        # singletons both 5/6 away, and equispaced 1-d atoms tie throughout
+        family = [DiscreteMeasure.uniform(np.random.default_rng(s).random((6, 3)))
+                  for s in range(3)]
+        family.append(DiscreteMeasure.uniform([[0.1], [0.3], [0.5], [0.7], [0.9]]))
+        runs = [(P, fn, n) for P in family
+                for fn in (forward_selection, backward_selection)
+                for n in range(1, P.n)]
+        want = [fn(P, n, exact_inner=True).support_idx for P, fn, n in runs]
+        inner = applications._inner_lp
+        for sign in (1.0, -1.0):
+            def noisy(member, mass):  # at most 1e-12, fixed per support
+                q, t = inner(member, mass)
+                h = zlib.crc32(np.ascontiguousarray(member).tobytes()) / 2 ** 32
+                return q, t + sign * 1e-12 * h
+
+            monkeypatch.setattr(applications, "_inner_lp", noisy)
+            got = [fn(P, n, exact_inner=True).support_idx for P, fn, n in runs]
+            assert got == want
+
     def test_exact_inner_lp_honours_budget(self, tmp_path, monkeypatch):
         # 100 atoms in d = 2: the grid has 101^2 = 10201 corners, well within
-        # the default budget, but P has 4839 supporting boxes and the phase-1
-        # tableau would hold about 1.9e8 entries
+        # the default budget, but P has 4839 supporting boxes and the simplex
+        # tableau would hold about 9.5e7 entries
         def no_lp(*args):
             raise AssertionError("the tableau must be refused before it is built")
 
         monkeypatch.setattr(applications, "_inner_lp", no_lp)
         P = DiscreteMeasure.uniform(np.random.default_rng(29).random((100, 2)))
-        with pytest.raises(BudgetExceededError, match="188363120 simplex tableau entries"):
+        with pytest.raises(BudgetExceededError, match="94670400 simplex tableau entries"):
             forward_selection(P, 5, exact_inner=True)
         path = tmp_path / "measure.txt"
         write_measure(str(path), P)
