@@ -61,6 +61,8 @@ class DiscreteMeasure:
             raise ValueError("one probability per atom required")
         if a.shape[0] < 1:
             raise ValueError("need at least one atom")
+        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(p)):
+            raise ValueError("atoms and probabilities must be finite")
         if np.any(a < 0.0) or np.any(a > 1.0):
             raise ValueError("atoms must lie in [0, 1]^d")
         if np.any(p < 0.0):

@@ -16,8 +16,10 @@ a ``_sq`` suffix; thin square-root wrappers are provided.
 The quadratic double sum is also computable in O(n log^(d-1) n) for fixed d
 by the divide-and-conquer scheme of Heinrich (1996) with the one-dimensional
 base case of Frank and Heinrich (1996); see :func:`heinrich_D` and
-:func:`star_l2_sq_fast`.  The three terms of Warnock-type formulas are much
-larger than their sum, so all reductions here are compensated: sums
+:func:`star_l2_sq_fast`.  The direct formulas and the leaves of that
+recursion share one pair kernel, :func:`_pair_blocks`, which forms the
+products over row blocks in two buffers allocated once per call.  The three
+terms of Warnock-type formulas are much larger than their sum, so sums
 accumulate in extended precision and the terms are combined before the final
 rounding to double.
 """
@@ -48,32 +50,38 @@ __all__ = [
 
 # pairwise blocks sized to stay cache-resident; larger blocks thrash
 _BLOCK_ELEMS = 1 << 20
+_LEAF = 4096  # Heinrich subproblems with at most this many pairs are summed directly
 _ACC = np.longdouble  # extended-precision accumulator for the big reductions
 
 
-class _KahanSum:
-    """Compensated scalar accumulator."""
+def _pair_blocks(U: np.ndarray, V: np.ndarray, g=None):
+    """Yield ``(s, M)`` for each row block of U, where M[i, l] is the product
+    over k of f_k(min(U[s + i, k], V[l, k])), f_k the identity or 1 + g[k] * x,
+    taken left to right.  M is a view that the next block overwrites."""
+    n, m = U.shape[0], V.shape[0]
+    step = max(1, _BLOCK_ELEMS // max(m, 1))
+    buf = np.empty((min(step, n), m))
+    fac = np.empty_like(buf)
+    for s in range(0, n, step):
+        blk = U[s : s + step]
+        M, F = buf[: blk.shape[0]], fac[: blk.shape[0]]
+        for k in range(U.shape[1]):
+            T = F if k else M
+            np.minimum(blk[:, None, k], V[None, :, k], out=T)
+            if g is not None:
+                T *= g[k]
+                T += 1.0
+            if k:
+                M *= F
+        yield s, M
 
-    __slots__ = ("s", "c")
 
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s
-
-
-def _row_blocks(n: int) -> tuple[range, int]:
-    step = max(1, _BLOCK_ELEMS // max(n, 1))
-    return range(0, n, step), step
+def _pair_sum(U: np.ndarray, V: np.ndarray, g=None):
+    """Sum of all entries of the pair kernel, accumulated in ``_ACC``."""
+    total = _ACC(0.0)
+    for _, M in _pair_blocks(U, V, g):
+        total += np.sum(M, dtype=_ACC)
+    return total
 
 
 def warnock_star_l2_sq(X: PointSet) -> float:
@@ -83,18 +91,8 @@ def warnock_star_l2_sq(X: PointSet) -> float:
     one_minus = 1.0 - pts
 
     t2 = np.sum(np.prod(1.0 - pts * pts, axis=1), dtype=_ACC)
-
-    t3 = _ACC(0.0)
-    starts, step = _row_blocks(n)
-    for s in starts:
-        blk = one_minus[s : s + step]
-        M = np.minimum(blk[:, None, 0], one_minus[None, :, 0])
-        for k in range(1, d):
-            M *= np.minimum(blk[:, None, k], one_minus[None, :, k])
-        t3 += np.sum(M, dtype=_ACC)
-
-    total = _ACC(3.0) ** -d - _ACC(2.0) ** (1 - d) / n * t2 + t3 / (_ACC(n) * n)
-    return float(total)
+    t3 = _pair_sum(one_minus, one_minus)
+    return float(_ACC(3.0) ** -d - _ACC(2.0) ** (1 - d) / n * t2 + t3 / (_ACC(n) * n))
 
 
 def warnock_star_l2_sq_stable(X: PointSet) -> float:
@@ -114,16 +112,10 @@ def warnock_star_l2_sq_stable(X: PointSet) -> float:
     t2 = np.sum(np.prod(1.0 - pts * pts, axis=1) - mean_sq, dtype=_ACC)
 
     off = _ACC(0.0)
-    starts, step = _row_blocks(n)
-    for s in starts:
-        blk = one_minus[s : s + step]
-        M = np.minimum(blk[:, None, 0], one_minus[None, :, 0])
-        for k in range(1, d):
-            M *= np.minimum(blk[:, None, k], one_minus[None, :, k])
+    for s, M in _pair_blocks(one_minus, one_minus):
         M -= mean_min
         # remove the diagonal part of this block; it is accumulated separately
-        rows = np.arange(s, min(s + step, n))
-        M[rows - s, rows] = 0.0
+        np.fill_diagonal(M[:, s:], 0.0)
         off += np.sum(M, dtype=_ACC)
 
     diag = np.sum(np.prod(one_minus, axis=1) - mean_diag, dtype=_ACC)
@@ -141,29 +133,17 @@ def extreme_l2_sq(X: PointSet) -> float:
 
     Computed under the unnormalized box measure dy dz on {y <= z}; the
     leading constant is 12^(-d) and the pair kernel is
-    min(x, x') * min(1-x, 1-x') per coordinate.
+    min(x, x') * min(1-x, 1-x') per coordinate, one kernel column each.
     """
     n, d = X.n, X.d
     pts = X.points
     one_minus = 1.0 - pts
 
     t2 = np.sum(np.prod(1.0 - pts ** 3 - one_minus ** 3, axis=1), dtype=_ACC)
-
-    t3 = _ACC(0.0)
-    starts, step = _row_blocks(n)
-    for s in starts:
-        blk, blk1 = pts[s : s + step], one_minus[s : s + step]
-        M = np.minimum(blk[:, None, 0], pts[None, :, 0]) * np.minimum(
-            blk1[:, None, 0], one_minus[None, :, 0])
-        for k in range(1, d):
-            M *= np.minimum(blk[:, None, k], pts[None, :, k])
-            M *= np.minimum(blk1[:, None, k], one_minus[None, :, k])
-        t3 += np.sum(M, dtype=_ACC)
-
-    total = (_ACC(12.0) ** -d
-             - _ACC(2.0) / (_ACC(6.0) ** d * n) * t2
-             + t3 / (_ACC(n) * n))
-    return float(total)
+    Z = np.stack([pts, one_minus], axis=2).reshape(n, 2 * d)  # x_0, 1-x_0, x_1, ...
+    t3 = _pair_sum(Z, Z)
+    return float(_ACC(12.0) ** -d - _ACC(2.0) / (_ACC(6.0) ** d * n) * t2
+                 + t3 / (_ACC(n) * n))
 
 
 def _check_weights(gamma, d: int) -> np.ndarray:
@@ -191,18 +171,8 @@ def weighted_star_l2_sq(X: PointSet, gamma) -> float:
     one_minus = 1.0 - pts
 
     t1 = np.prod(1.0 + np.asarray(g2, dtype=_ACC) / 3)
-
     t2 = np.sum(np.prod(1.0 + g2 * (1.0 - pts * pts) / 2.0, axis=1), dtype=_ACC)
-
-    t3 = _ACC(0.0)
-    starts, step = _row_blocks(n)
-    for s in starts:
-        blk = one_minus[s : s + step]
-        M = 1.0 + g2[0] * np.minimum(blk[:, None, 0], one_minus[None, :, 0])
-        for k in range(1, d):
-            M *= 1.0 + g2[k] * np.minimum(blk[:, None, k], one_minus[None, :, k])
-        t3 += np.sum(M, dtype=_ACC)
-
+    t3 = _pair_sum(one_minus, one_minus, g2)
     return float(t1 - _ACC(2.0) / n * t2 + t3 / (_ACC(n) * n))
 
 
@@ -228,6 +198,8 @@ class HeinrichArray:
                 pts = pts.reshape(-1, 1)
         if pts.shape[0] != w.shape[0]:
             raise ValueError("one weight per point required")
+        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(pts)):
+            raise ValueError("weights and coordinates must be finite")
         if pts.size and (np.any(pts < 0.0) or np.any(pts > 1.0)):
             raise ValueError("coordinates must lie in [0, 1]")
         w, pts = w.copy(), pts.copy()
@@ -246,13 +218,15 @@ class HeinrichArray:
 
 
 def _D_direct(v, Y, w, Z, d: int):
-    M = np.outer(v, w)
-    for k in range(d):
-        M = M * np.minimum.outer(Y[:, k], Z[:, k])
-    return np.sum(M, dtype=_ACC)
+    total = _ACC(0.0)
+    for s, M in _pair_blocks(Y[:, :d], Z[:, :d]):
+        M *= v[s : s + M.shape[0], None]
+        M *= w
+        total += np.sum(M, dtype=_ACC)
+    return total
 
 
-def _D_rec(v, Y, w, Z, d: int, leaf: int):
+def _D_rec(v, Y, w, Z, d: int):
     n, m = v.shape[0], w.shape[0]
     if m == 0 or n == 0:
         return _ACC(0.0)
@@ -268,7 +242,7 @@ def _D_rec(v, Y, w, Z, d: int, leaf: int):
         suff_w = np.concatenate((np.cumsum(ws[::-1].astype(_ACC))[::-1], [0.0]))
         nu = np.searchsorted(zs, ya, side="right")  # z_(1..nu) <= y_i < rest
         return np.sum(v * (pref_wz[nu] + ya * suff_w[nu]), dtype=_ACC)
-    if n * m <= leaf:
+    if n * m <= _LEAF:
         return _D_direct(v, Y, w, Z, d)
 
     # split A at the rank median of its d-th components (stable, index ties)
@@ -281,14 +255,14 @@ def _D_rec(v, Y, w, Z, d: int, leaf: int):
     BL = np.flatnonzero(in_left)
     BR = np.flatnonzero(~in_left)
 
-    total = _D_rec(v[L], Y[L], w[BL], Z[BL], d, leaf)
-    total += _D_rec(v[R], Y[R], w[BR], Z[BR], d, leaf)
-    total += _D_rec(v[L] * Y[L, d - 1], Y[L, : d - 1], w[BR], Z[BR][:, : d - 1], d - 1, leaf)
-    total += _D_rec(v[R], Y[R][:, : d - 1], w[BL] * Z[BL, d - 1], Z[BL][:, : d - 1], d - 1, leaf)
+    total = _D_rec(v[L], Y[L], w[BL], Z[BL], d)
+    total += _D_rec(v[R], Y[R], w[BR], Z[BR], d)
+    total += _D_rec(v[L] * Y[L, d - 1], Y[L, : d - 1], w[BR], Z[BR][:, : d - 1], d - 1)
+    total += _D_rec(v[R], Y[R][:, : d - 1], w[BL] * Z[BL, d - 1], Z[BL][:, : d - 1], d - 1)
     return total
 
 
-def heinrich_D(A: HeinrichArray, B: HeinrichArray, d: int, leaf_size: int = 4096) -> float:
+def heinrich_D(A: HeinrichArray, B: HeinrichArray, d: int) -> float:
     """D(A, B, d) = sum_i sum_j v_i w_j prod_{k<=d} min(y_ik, z_jk).
 
     Divide and conquer on the d-th coordinate: split A at its rank median mu,
@@ -297,8 +271,8 @@ def heinrich_D(A: HeinrichArray, B: HeinrichArray, d: int, leaf_size: int = 4096
     folded into the weights of the lower side.  Base cases: an empty operand
     (0), d = 0 (product of weight sums, the empty product being 1), a
     singleton A (direct sum), and d = 1, evaluated by sorting B and prefix
-    sums.  Subproblems with at most ``leaf_size`` weight pairs are evaluated
-    directly; this changes constants only.
+    sums.  Subproblems with at most ``_LEAF`` weight pairs are summed by the
+    pair kernel; this changes constants only.
     """
     if d < 0:
         raise ValueError("dimension must be >= 0")
@@ -306,24 +280,23 @@ def heinrich_D(A: HeinrichArray, B: HeinrichArray, d: int, leaf_size: int = 4096
         raise ValueError("array A has fewer active coordinates than d")
     if B.n and B.dim < d:
         raise ValueError("array B has fewer active coordinates than d")
-    return float(_D_rec(A.weights, A.points, B.weights, B.points, d, leaf_size))
+    return float(_D_rec(A.weights, A.points, B.weights, B.points, d))
 
 
-def star_l2_sq_fast(Q: WeightedPointSet, leaf_size: int = 4096) -> float:
+def star_l2_sq_fast(Q: WeightedPointSet) -> float:
     """Squared L2 star discrepancy of a signed quadrature measure.
 
     Evaluates the Warnock-type expansion for general weights with the double
-    sum delegated to :func:`heinrich_D` on the reflected points 1 - x.  With
-    equal weights 1/n this is the squared L2 star discrepancy of the support.
+    sum delegated to the recursion of :func:`heinrich_D` on the reflected
+    points 1 - x.  With equal weights 1/n this is the squared L2 star
+    discrepancy of the support.
     """
     n, d = Q.n, Q.d
     v = Q.weights
     one_minus = 1.0 - Q.points
 
     t2 = np.sum(v * np.prod(1.0 - Q.points ** 2, axis=1), dtype=_ACC)
-
-    arr = HeinrichArray(v, one_minus)
-    t3 = _D_rec(arr.weights, arr.points, arr.weights, arr.points, d, leaf_size)
+    t3 = _D_rec(v, one_minus, v, one_minus, d)
     return float(_ACC(3.0) ** -d - _ACC(2.0) ** (1 - d) * t2 + t3)
 
 

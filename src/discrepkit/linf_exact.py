@@ -68,6 +68,8 @@ class MarginalCDF:
             v = np.asarray(values, dtype=np.float64).reshape(-1)
             if k.shape != v.shape or k.size < 2:
                 raise ValueError("each marginal needs matching knot/value lists")
+            if not np.all(np.isfinite(k)) or not np.all(np.isfinite(v)):
+                raise ValueError("knots and values must be finite")
             if np.any(np.diff(k) <= 0.0):
                 raise ValueError("knots must be strictly increasing")
             if k[0] != 0.0 or k[-1] != 1.0:

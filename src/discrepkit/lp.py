@@ -23,9 +23,29 @@ from math import comb
 import numpy as np
 
 from .pointset import BudgetExceededError, PointSet
-from .l2 import _check_weights, _KahanSum
+from .l2 import _check_weights
 
 __all__ = ["weighted_star_lp_pow", "lp_cost_estimate"]
+
+
+class _KahanSum:
+    """Compensated scalar accumulator."""
+
+    __slots__ = ("s", "c")
+
+    def __init__(self) -> None:
+        self.s = 0.0
+        self.c = 0.0
+
+    def add(self, x: float) -> None:
+        y = x - self.c
+        t = self.s + y
+        self.c = (t - self.s) - y
+        self.s = t
+
+    @property
+    def value(self) -> float:
+        return self.s
 
 
 def lp_cost_estimate(n: int, d: int, p: int) -> int:

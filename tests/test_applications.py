@@ -84,6 +84,12 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure([[0.2], [0.4]], [1.5, -0.5])
 
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure([[0.2], [0.4]], [np.nan, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure([[0.2], [np.nan]], [0.5, 0.5])
+
     def test_uniform(self):
         P = DiscreteMeasure.uniform([[0.25], [0.75]])
         assert P.probabilities.tolist() == [0.5, 0.5]

@@ -144,6 +144,24 @@ class TestCommands:
         code, rep = run(["disc", "--input", str(bad), "--measure", "star-linf"])
         assert code == 2
 
+    def test_nan_gstar_knot_is_usage_error(self, tmp_path):
+        pts = tmp_path / "pts.txt"
+        write_pointset(str(pts), PointSet([[0.125, 0.5], [0.375, 0.25], [0.625, 0.75]]))
+        g = tmp_path / "g.txt"
+        g.write_text("0 0 nan 0.5 1 1\n0 0 1 1\n")
+        code, rep = run(["disc", "--input", str(pts), "--measure", "star-linf",
+                         "--gstar", str(g)])
+        assert code == 2
+        assert "finite" in rep.records[0]["error"]
+
+    def test_nan_probability_is_usage_error(self, tmp_path):
+        m = tmp_path / "m.txt"
+        m.write_text("nan 0.1\n0.5 0.4\n0.5 0.6\n")
+        code, rep = run(["reduce", "--input", str(m), "--n", "1",
+                         "--method", "forward", "--out", str(tmp_path / "red.txt")])
+        assert code == 2
+        assert "finite" in rep.records[0]["error"]
+
     def test_gstar_identity_matches_plain(self, tmp_path):
         pts = tmp_path / "pts.txt"
         write_pointset(str(pts), midpoint_set(4))

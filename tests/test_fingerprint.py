@@ -1,14 +1,16 @@
 """Seeded fingerprint of the heuristics, snapping, critical corners, reductions,
-CLI records, Halton generators and permutation search.
+CLI records, Halton generators, permutation search and direct L2 values.
 
 Every value below comes from a fixed seed, so a refactor of the shared
 geometry or of the generators must leave it bit for bit unchanged.  Floats
 are compared through ``float.hex``.  The pinned values live in
 ``fingerprint.json`` next to this file; ``PYTHONPATH=src python
 tests/test_fingerprint.py`` prints the current fingerprint in that format.
-L2 values are left out: their rounding is not part of the geometry.  The
-permutation search ranks candidates by them, so a change to that rounding
-may change the ``perms`` section.
+The ``l2`` section pins the five direct L2 formulas (Warnock, its stable
+form, extreme, weighted, modified), so a refactor of the pair kernel must
+keep their rounding too; a deliberate change of that rounding (say, pair
+products in extended precision) re-pins this section and may change the
+``perms`` section, whose search ranks candidates by L2 values.
 """
 
 import json
@@ -19,11 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from discrepkit import (DiscreteMeasure, PermutationConfig, PointSet, TAConfig,
-                        backward_selection, enumerate_critical, forward_selection,
-                        ga_lower_bound, halton, optimize_halton_permutations,
-                        radical_inverse, random_permutation, reverse_permutation,
+                        backward_selection, enumerate_critical, extreme_l2_sq,
+                        forward_selection, ga_lower_bound, halton, modified_l2_sq,
+                        optimize_halton_permutations, radical_inverse,
+                        random_permutation, reverse_permutation,
                         scrambled_radical_inverse, snap_down, snap_up, ta_basic,
-                        ta_improved)
+                        ta_improved, warnock_star_l2_sq, warnock_star_l2_sq_stable,
+                        weighted_star_l2_sq)
 from discrepkit.cli import run_command, write_pointset
 
 PINNED = Path(__file__).with_name("fingerprint.json")
@@ -127,6 +131,26 @@ def _halton():
     return out
 
 
+def _l2():
+    """The five direct L2 formulas on seeded sets: one block and several
+    (the 4,096 Halton points in d = 4 span 16 blocks), ties and zeros."""
+    rng = np.random.default_rng(4713)
+    sets = {f"random-{d}d-{n}": PointSet(rng.random((n, d)))
+            for d in range(1, 9) for n in (1, 2, 37, 300)}
+    sets["tied-3d-64"] = _tied(rng, 64, 3, np.array([0.0, 0.25, 0.5, 0.75]))
+    zeros = rng.random((50, 5))
+    zeros[rng.random((50, 5)) < 0.3] = 0.0
+    sets["zeros-5d-50"] = PointSet(zeros)
+    sets["halton-4d-4096"] = halton(4096, 4)
+    out = {}
+    for name, X in sets.items():
+        gamma = 0.8 ** np.arange(X.d)
+        out[name] = _floats([warnock_star_l2_sq(X), warnock_star_l2_sq_stable(X),
+                             extreme_l2_sq(X), weighted_star_l2_sq(X, gamma),
+                             modified_l2_sq(X)])
+    return out
+
+
 def fingerprint(tmp: Path) -> dict:
     sets = _sets()
     fp: dict = {"ta_basic": {}, "ta_improved": {}, "ga": {}, "snap": {},
@@ -175,6 +199,7 @@ def fingerprint(tmp: Path) -> dict:
     fp["halton"] = _halton()
     best = optimize_halton_permutations(5, 64, 4, 8, 4, seed=7)
     fp["perms"] = [[int(v) for v in pi] for pi in best.permutations]
+    fp["l2"] = _l2()
     return fp
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pointset
+from discrepkit import l2
 from discrepkit import (HeinrichArray, PointSet, WeightedPointSet, extreme_l2,
                         extreme_l2_sq, halton, heinrich_D, modified_l2_sq, star_l2,
                         star_l2_sq_fast, warnock_star_l2_sq,
@@ -148,6 +149,27 @@ class TestWeightedL2:
             weighted_star_l2_sq(X, np.ones(3)), rel=1e-13)
 
 
+class TestPairBlocks:
+    """Small blocks make sets of up to 300 points span 2 to 37 blocks, most
+    with a ragged last block; every direct formula keeps its one-block value."""
+
+    FORMULAS = (warnock_star_l2_sq, warnock_star_l2_sq_stable, extreme_l2_sq,
+                lambda X: weighted_star_l2_sq(X, 0.8 ** np.arange(X.d)),
+                modified_l2_sq)
+
+    @pytest.mark.parametrize("n, d, elems", [(2, 3, 1), (37, 2, 100), (100, 4, 700),
+                                             (257, 5, 2000), (300, 8, 4000)])
+    def test_block_boundaries_keep_values(self, monkeypatch, n, d, elems):
+        X = PointSet(np.random.default_rng(n * d).random((n, d)))
+        whole = [f(X) for f in self.FORMULAS]
+        monkeypatch.setattr(l2, "_BLOCK_ELEMS", elems)
+        assert n > max(1, elems // n)  # more than one block
+        blocked = [f(X) for f in self.FORMULAS]
+        for a, b in zip(blocked, whole):
+            assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+        assert blocked[1] == pytest.approx(blocked[0], rel=1e-12, abs=0.0)
+
+
 class TestHeinrichD:
     def test_dimension_zero(self):
         A = HeinrichArray([2.0, 3.0], [[0.1], [0.2]])
@@ -169,6 +191,12 @@ class TestHeinrichD:
         with pytest.raises(ValueError):
             heinrich_D(A, A, -1)
 
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            HeinrichArray([1.0, 1.0], [[0.5], [np.nan]])
+        with pytest.raises(ValueError, match="finite"):
+            HeinrichArray([np.inf], [[0.5]])
+
     @given(st.integers(0, 40), st.integers(1, 40), st.integers(0, 4),
            st.integers(0, 10 ** 6))
     @settings(max_examples=50, deadline=None)
@@ -180,17 +208,20 @@ class TestHeinrichD:
         Z = rng.random((m, max(d, 1)))
         A = HeinrichArray(v, Y)
         B = HeinrichArray(w, Z) if m else HeinrichArray([], None, dim=max(d, 1))
-        # leaf_size=1 exercises the recursion all the way down
-        got = heinrich_D(A, B, d, leaf_size=1)
+        # a leaf of one pair exercises the recursion all the way down
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(l2, "_LEAF", 1)
+            got = heinrich_D(A, B, d)
         want = oracles.direct_heinrich(v, Y, w, Z, d)
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
-    def test_random_32_points_d3(self, rng):
+    def test_random_32_points_d3(self, rng, monkeypatch):
         v = rng.normal(size=32)
         w = rng.normal(size=32)
         Y = rng.random((32, 3))
         Z = rng.random((32, 3))
-        got = heinrich_D(HeinrichArray(v, Y), HeinrichArray(w, Z), 3, leaf_size=1)
+        monkeypatch.setattr(l2, "_LEAF", 1)
+        got = heinrich_D(HeinrichArray(v, Y), HeinrichArray(w, Z), 3)
         want = oracles.direct_heinrich(v, Y, w, Z, 3)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 

@@ -126,6 +126,14 @@ class TestGridEnum:
         assert achieved == res.value
 
 
+class TestMarginalCDF:
+    def test_rejects_non_finite_tables(self):
+        with pytest.raises(ValueError, match="finite"):
+            MarginalCDF([([0.0, np.nan, 1.0], [0.0, 0.5, 1.0])])
+        with pytest.raises(ValueError, match="finite"):
+            MarginalCDF([([0.0, 0.5, 1.0], [0.0, np.inf, 1.0])])
+
+
 class TestStar2D3D:
     def test_2d_single_point(self):
         assert star_2d(PointSet([[0.5, 0.5]])).value == 0.75
