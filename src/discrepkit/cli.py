@@ -265,8 +265,10 @@ def _build_parser() -> argparse.ArgumentParser:
     di.add_argument("--method", default="auto",
                     choices=("auto", "1d", "2d", "3d", "grid", "dem"))
     di.add_argument("--stable", action="store_true",
-                    help="use the cancellation-resistant star-l2 path")
-    di.add_argument("--gstar", help="marginal table file for the G-star variant")
+                    help="accepted for older scripts: star-l2 runs the same "
+                         "formula with or without it")
+    di.add_argument("--gstar", help="marginal table file for the G-star variant "
+                                    "(grid enumeration; --method auto or grid)")
     di.add_argument("--gamma", help="product weights, comma separated")
     di.add_argument("--p", type=int, default=2)
     di.add_argument("--delta", type=float, default=0.1)
@@ -366,6 +368,9 @@ def _cmd_disc(args, report: RunReport) -> None:
     m = args.measure
     t0 = time.perf_counter()
     if m == "star-linf":
+        if args.gstar and args.method not in ("auto", "grid"):
+            raise SystemExit2(f"--gstar runs grid enumeration; --method {args.method} "
+                              "cannot be combined with it")
         G = read_marginals(args.gstar) if args.gstar else None
         if G is not None or args.method == "grid":
             res = star_grid_enum(X, G, budget=args.budget)
@@ -378,7 +383,7 @@ def _cmd_disc(args, report: RunReport) -> None:
                    wall_time=time.perf_counter() - t0)
     elif m in ("star-l2", "extreme-l2", "modified-l2", "weighted-l2"):
         if m == "star-l2":
-            v = l2.warnock_star_l2_sq_stable(X) if args.stable else l2.warnock_star_l2_sq(X)
+            v = l2.warnock_star_l2_sq(X)
         elif m == "extreme-l2":
             v = l2.extreme_l2_sq(X)
         elif m == "modified-l2":

@@ -30,9 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pointset import (BudgetExceededError, PointSet, _count_tensor, _snap_down,
+from .pointset import (BudgetExceededError, PointSet, _snap_down,
                        _Workspace)
-from .linf_exact import _grid_side_max, local_values
+from .linf_exact import _grid_star, local_values
 
 __all__ = [
     "DeltaCover",
@@ -122,26 +122,11 @@ def cover_bounds(X: PointSet, delta: float, cap: int = 200_000_000) -> BoundResu
     on top is valid by the bracketing property.
     """
     cover = build_delta_cover(X.d, delta, cap)
-    axes = [cover.levels] * X.d
-    open_counts = _count_tensor(axes, X.points, None, "open")
-    best_open, idx_open = _grid_side_max(axes, open_counts, +1, X.n)
-    del open_counts
-    closed_counts = _count_tensor(axes, X.points, None, "closed")
-    best_closed, idx_closed = _grid_side_max(axes, closed_counts, -1, X.n)
-    del closed_counts
-
-    if best_open >= best_closed:
-        y = np.array([cover.levels[i] for i in idx_open])
-        kind = "open"
-    else:
-        y = np.array([cover.levels[i] for i in idx_closed])
-        kind = "closed"
-    op, cl = local_values(X, y)
-    lower = op if kind == "open" else cl
-    return BoundResult(lower, lower + delta, y,
+    res = _grid_star(X, [cover.levels] * X.d, [cover.levels] * X.d)
+    return BoundResult(res.value, res.value + delta, res.witness,
                        {"delta": delta, "cover_size": cover.size,
                         "entropy_size_bound": cover.entropy_size_bound,
-                        "kind": kind})
+                        "kind": res.kind})
 
 
 @dataclass(frozen=True)

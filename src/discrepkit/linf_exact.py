@@ -213,9 +213,8 @@ def star_grid_enum(nu, G: MarginalCDF | None = None,
     and continuous, so the open-box maximum is attained on the augmented grid
     and the closed-box maximum on the plain grid.
     """
-    pts, w, is_plain = _coerce(nu)
-    d = pts.shape[1]
-    if G is not None and G.d != d:
+    pts = _coerce(nu)[0]
+    if G is not None and G.d != pts.shape[1]:
         raise ValueError("marginal table dimension mismatch")
     plain, aug = _grid_axes(pts)
     aug_size = 1
@@ -225,28 +224,27 @@ def star_grid_enum(nu, G: MarginalCDF | None = None,
         raise BudgetExceededError(
             f"augmented grid has {aug_size} corners, exceeding the budget "
             f"of {budget}; consider cover or heuristic bounds")
+    return _grid_star(nu, aug, plain, G)
 
-    def mu_axis(j: int, vals: np.ndarray) -> np.ndarray:
-        if G is None:
-            return vals
-        return G.marginal(j, vals)
 
+def _grid_star(nu, open_axes: list[np.ndarray], closed_axes: list[np.ndarray],
+               G: MarginalCDF | None = None) -> StarResult:
+    """Best open-box corner on ``open_axes`` and best closed-box corner on
+    ``closed_axes``; the better of the two, recomputed at its corner.  The
+    open count tensor is released before the closed one is built."""
+    pts, w, is_plain = _coerce(nu)
     wts, n = (None, pts.shape[0]) if is_plain else (w, 1.0)
-    open_counts = _count_tensor(aug, pts, wts, "open")
-    mu_open = [mu_axis(j, aug[j]) for j in range(d)]
-    best_open, idx_open = _grid_side_max(mu_open, open_counts, +1, n)
-    del open_counts
-
-    closed_counts = _count_tensor(plain, pts, wts, "closed")
-    mu_closed = [mu_axis(j, plain[j]) for j in range(d)]
-    best_closed, idx_closed = _grid_side_max(mu_closed, closed_counts, -1, n)
-    del closed_counts
-
-    if best_open >= best_closed:
-        y = np.array([aug[j][idx_open[j]] for j in range(d)])
-        return _result_at(nu, y, "open", G)
-    y = np.array([plain[j][idx_closed[j]] for j in range(d)])
-    return _result_at(nu, y, "closed", G)
+    best, corner = [], []
+    for axes, side, sign in ((open_axes, "open", +1), (closed_axes, "closed", -1)):
+        mu = axes if G is None else [G.marginal(j, a) for j, a in enumerate(axes)]
+        counts = _count_tensor(axes, pts, wts, side)
+        val, idx = _grid_side_max(mu, counts, sign, n)
+        del counts
+        best.append(val)
+        corner.append(np.array([a[i] for a, i in zip(axes, idx)]))
+    if best[0] >= best[1]:
+        return _result_at(nu, corner[0], "open", G)
+    return _result_at(nu, corner[1], "closed", G)
 
 
 def star_2d(X: PointSet) -> StarResult:

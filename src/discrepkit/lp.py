@@ -13,7 +13,10 @@ by a squaring of the per-coordinate weights from the product-weighted L2
 formula in :mod:`discrepkit.l2` (the two agree at p = 2 after mapping
 gamma_j -> gamma_j**2, and coincide for 0/1 weights).
 
-Direct evaluation costs O(d n^p); a budget guards against runaway sizes.
+The binomial terms are far larger than their signed sum, so the expansion
+is evaluated in the extended precision of ``l2._ACC``, the summation policy
+of the L2 formulas too.  Direct evaluation costs O(d n^p); a budget guards
+against runaway sizes.
 """
 
 from __future__ import annotations
@@ -23,29 +26,9 @@ from math import comb
 import numpy as np
 
 from .pointset import BudgetExceededError, PointSet
-from .l2 import _check_weights
+from .l2 import _ACC, _check_weights
 
 __all__ = ["weighted_star_lp_pow", "lp_cost_estimate"]
-
-
-class _KahanSum:
-    """Compensated scalar accumulator."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s
 
 
 def lp_cost_estimate(n: int, d: int, p: int) -> int:
@@ -53,35 +36,29 @@ def lp_cost_estimate(n: int, d: int, p: int) -> int:
     return d * sum(comb(p, l) * n ** l for l in range(p + 1))
 
 
-def _tuple_level_sum(pts: np.ndarray, gamma: np.ndarray, q: int, level: int) -> float:
-    """Sum over all ``level``-tuples of the per-tuple factor product.
+def _tuple_level_sum(pw: np.ndarray, a: np.ndarray, level: int):
+    """Sum over all ``level``-tuples of prod_j (1 + a_j - a_j * max_tuple pw_j),
+    pw the points raised to q = p - level + 1 and a = gamma / q.
 
     Walks tuple prefixes depth first carrying the running coordinatewise
-    maximum; the innermost index is vectorized.  Exponent q = p - level + 1.
+    maximum, which starts at 0, the maximum over the empty prefix; the
+    innermost index is vectorized.
     """
-    n, d = pts.shape
-    pw = pts ** q
-    acc = _KahanSum()
+    c = 1.0 + a
     if level == 0:
-        acc.add(float(np.prod(1.0 + gamma / q)))
-        return acc.value
-    if level == 1:
-        vals = np.prod(1.0 + gamma * (1.0 - pw) / q, axis=1)
-        for v in vals:
-            acc.add(float(v))
-        return acc.value
+        return np.prod(c)
+    total = _ACC(0.0)
 
     def walk(depth: int, running_max: np.ndarray) -> None:
+        nonlocal total
         if depth == level - 1:
-            m = np.maximum(running_max[None, :], pw)
-            vals = np.prod(1.0 + gamma * (1.0 - m) / q, axis=1)
-            acc.add(float(np.sum(vals)))
+            total += np.sum(np.prod(c - a * np.maximum(running_max, pw), axis=1))
             return
-        for i in range(n):
-            walk(depth + 1, np.maximum(running_max, pw[i]))
+        for row in pw:
+            walk(depth + 1, np.maximum(running_max, row))
 
-    walk(0, np.zeros(d))
-    return acc.value
+    walk(0, np.zeros_like(a))
+    return total
 
 
 def weighted_star_lp_pow(X: PointSet, gamma, p: int,
@@ -89,15 +66,16 @@ def weighted_star_lp_pow(X: PointSet, gamma, p: int,
     """p-th power of the product-weighted L_p star discrepancy, even p only."""
     if p <= 0 or p % 2 != 0:
         raise ValueError("p must be a positive even integer")
-    g = _check_weights(gamma, X.d)
+    g = _check_weights(gamma, X.d).astype(_ACC)
     cost = lp_cost_estimate(X.n, X.d, p)
     if cost > budget:
         raise BudgetExceededError(
             f"direct L_p evaluation needs about {cost} operations, "
             f"exceeding the budget of {budget}")
-    total = _KahanSum()
+    pts = X.points.astype(_ACC)
+    total = _ACC(0.0)
     for l in range(p + 1):
         q = p - l + 1
-        level = _tuple_level_sum(X.points, g, q, l)
-        total.add(comb(p, l) * (-1.0 / X.n) ** l * level)
-    return total.value
+        level = _tuple_level_sum(pts ** q, g / q, l)
+        total += comb(p, l) * (_ACC(-1.0) / X.n) ** l * level
+    return float(total)

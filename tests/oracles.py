@@ -5,6 +5,8 @@ itertools, deliberately sharing no code path with the library.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -186,6 +188,47 @@ def two_measure_disc_brute(atoms_p, probs_p, atoms_q, probs_q):
     for y in itertools.product(*plain):
         best = max(best, pmass(y, closed=True))
     return best
+
+
+def warnock_star_l2_sq_longdouble(pts, block=64):
+    """Warnock's formula 3^-d - 2^(1-d)/n sum_i prod(1 - x^2)
+    + 1/n^2 sum_{i,l} prod min(1 - x_i, 1 - x_l), with every product and
+    every sum formed in extended precision (np.longdouble), the pair sum
+    over row blocks of ``block`` points."""
+    x = np.asarray(pts, dtype=np.float64).astype(np.longdouble)
+    n, d = x.shape
+    one = np.longdouble(1)
+    single = np.sum(np.prod(one - x * x, axis=1))
+    pair = np.longdouble(0)
+    for s in range(0, n, block):
+        mins = np.minimum(one - x[s:s + block, None, :], one - x[None, :, :])
+        pair += np.sum(np.prod(mins, axis=2))
+    return (np.longdouble(3) ** -d - np.longdouble(2) ** (1 - d) / n * single
+            + pair / (np.longdouble(n) * n))
+
+
+def lp_pow_fraction(pts, gamma, p):
+    """p-th power of the product-weighted L_p star discrepancy for even p by
+    the Leobacher-Pillichshammer expansion in exact rationals:
+    sum_{l=0..p} C(p, l) (-1/n)^l sum over all l-tuples of point indices of
+    prod_j (1 + gamma_j (1 - m_j^(p-l+1)) / (p-l+1)), m_j the largest j-th
+    coordinate in the tuple (0 for the empty tuple).  Points and weights are
+    the exact values of their doubles."""
+    X = [[Fraction(float(c)) for c in row] for row in np.atleast_2d(pts)]
+    g = [Fraction(float(c)) for c in np.atleast_1d(gamma)]
+    n = len(X)
+    total = Fraction(0)
+    for l in range(p + 1):
+        q = p - l + 1
+        level = Fraction(0)
+        for tup in itertools.product(range(n), repeat=l):
+            term = Fraction(1)
+            for j, gj in enumerate(g):
+                m = max((X[i][j] for i in tup), default=Fraction(0))
+                term *= 1 + gj * (1 - m ** q) / q
+            level += term
+        total += math.comb(p, l) * Fraction(-1, n) ** l * level
+    return total
 
 
 def weighted_star_l2_sq_ext(pts, gamma, block=256):

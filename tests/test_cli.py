@@ -172,6 +172,32 @@ class TestCommands:
         assert code == 0
         assert rep.records[0]["value"] == 0.125
 
+    @pytest.mark.parametrize("method, code", [("1d", 2), ("2d", 2), ("3d", 2), ("dem", 2),
+                                              ("auto", 0), ("grid", 0)])
+    def test_gstar_allows_only_grid_methods(self, tmp_path, method, code):
+        pts = tmp_path / "pts.txt"
+        write_pointset(str(pts), midpoint_set(4))
+        g = tmp_path / "g.txt"
+        g.write_text("0 0 1 1\n")
+        got, rep = run(["disc", "--input", str(pts), "--measure", "star-linf",
+                        "--gstar", str(g), "--method", method])
+        assert got == code
+        if code:
+            err = rep.records[0]["error"]
+            assert "--gstar" in err and f"--method {method}" in err
+        else:
+            assert rep.records[0]["method"] == "grid"
+
+    def test_stable_flag_selects_the_same_formula(self, tmp_path):
+        pts = tmp_path / "pts.txt"
+        write_pointset(str(pts), PointSet(np.random.default_rng(3).random((50, 3))))
+        values = []
+        for extra in ([], ["--stable"]):
+            code, rep = run(["disc", "--input", str(pts), "--measure", "star-l2", *extra])
+            assert code == 0
+            values.append(rep.records[0]["value"])
+        assert values[0] == values[1]
+
     def test_ta_lower_requires_seed_in_json(self, tmp_path):
         pts = tmp_path / "pts.txt"
         write_pointset(str(pts), midpoint_set(4))

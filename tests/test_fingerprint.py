@@ -6,9 +6,9 @@ geometry or of the generators must leave it bit for bit unchanged.  Floats
 are compared through ``float.hex``.  The pinned values live in
 ``fingerprint.json`` next to this file; ``PYTHONPATH=src python
 tests/test_fingerprint.py`` prints the current fingerprint in that format.
-The ``l2`` section pins the five direct L2 formulas (Warnock, its stable
-form, extreme, weighted, modified), so a refactor of the pair kernel must
-keep their rounding too; a deliberate change of that rounding (say, pair
+The ``l2`` section pins the five direct L2 formulas (Warnock under its plain
+and its ``_stable`` name, extreme, weighted, modified), so a refactor of the
+pair kernel must keep their rounding too; a deliberate change of that rounding (say, pair
 products in extended precision) re-pins this section and may change the
 ``perms`` section, whose search ranks candidates by L2 values.
 """

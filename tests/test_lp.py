@@ -79,6 +79,18 @@ class TestCrossFormula:
                 got = weighted_star_lp_pow(X, [1.0], p)
                 assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
 
+    @pytest.mark.parametrize("p, n_max", [(2, 8), (4, 8), (6, 4)])
+    def test_matches_exact_expansion(self, p, n_max):
+        # binomial terms of size up to C(p, p/2) cancel to sums near 1e-5
+        rng = np.random.default_rng(p)
+        for _ in range(6):
+            n = int(rng.integers(1, n_max + 1))
+            d = int(rng.integers(1, 5))
+            X = random_pointset(rng, n, d)
+            g = np.sort(rng.random(d))[::-1]
+            want = float(oracles.lp_pow_fraction(X.points, g, p))
+            assert weighted_star_lp_pow(X, g, p) == pytest.approx(want, rel=1e-9, abs=0.0)
+
     @given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
     def test_nonnegative(self, n, d, seed):

@@ -40,6 +40,15 @@ def test_traced_functions_resolve():
         assert callable(fn), f"discrepkit.{mod}.{name}"
 
 
+def test_traced_functions_are_distinct():
+    # the tracer wraps by identity: an alias under two traced names would be
+    # wrapped twice, and one call would open two spans
+    spans = _load_spans()
+    fns = [getattr(importlib.import_module("discrepkit." + mod), name)
+           for mod, name in spans.TRACED]
+    assert len({id(f) for f in fns}) == len(fns)
+
+
 def test_install_uninstall_leaves_nothing_wrapped():
     spans = _load_spans()
     for mod, _ in spans.TRACED:
