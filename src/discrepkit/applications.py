@@ -3,10 +3,14 @@
 Scenario reduction in the sense of Henrion, Kuechler and Roemisch (2009):
 approximate a discrete probability measure P by a measure Q supported on a
 small subset of P's atoms, minimizing the anchored-box (Kolmogorov-type)
-distance.  The outer support search is greedy forward or backward selection;
-the inner probability optimization is a small linear program whose
+distance.  The outer support search is greedy forward or backward selection.
+The inner probability optimization is either a small linear program whose
 constraints are indexed by the supporting boxes, which are exactly the
-critical corners of the grid induced by the union support.
+critical corners of the grid induced by P's atoms, or, by default, the
+nearest-mass heuristic (each atom's mass moves to its nearest kept atom).
+Either is set up once per reduction: the box table, or P's closed grid on
+which every nearest-mass candidate is scored, since a candidate's atoms are
+P's own.
 
 Permutation search in the style of de Rainville, Gagne, Teytaud and
 Laurendeau (2012): a component-by-component (mu+lambda) evolutionary search
@@ -30,8 +34,8 @@ from ._simplex import LPError, solve_lp
 from .generators import PermutationConfig, halton, primes, random_permutation
 from .linf_approx import TAConfig, _best_ta, cover_bounds
 from .linf_exact import exact_method, star_exact
-from .pointset import (BudgetExceededError, _as_points, _count_tensor,
-                       _critical_corners, _grid_axes)
+from .pointset import (BudgetExceededError, _as_points, _critical_corners,
+                       _grid_axes, _grid_cells, _prefix_sums)
 
 __all__ = [
     "DiscreteMeasure",
@@ -98,28 +102,36 @@ def _check_budget(size: int, unit: str, budget: int, what: str) -> None:
             f"{budget}; keep supports small or the dimension at 3 or less")
 
 
+def _closed_grid(pts: np.ndarray, budget: int):
+    """(cells, gap) on the plain grid induced by ``pts``, after the distance's
+    budget check on the augmented grid: each point's flat closed cell, and
+    gap(cells, w), the largest |total weight| over the closed boxes with
+    ``w`` deposited at ``cells`` in order."""
+    plain, aug = _grid_axes(pts)
+    _check_budget(math.prod(map(len, aug)), "grid corners", budget, "two-measure distance")
+    shape = tuple(map(len, plain))
+    _, cells = _grid_cells(plain, pts, "closed")
+    return cells, lambda c, w: float(np.max(np.abs(_prefix_sums(shape, c, w))))
+
+
 def two_measure_star_disc(P: DiscreteMeasure, Q: DiscreteMeasure,
                           budget: int = 20_000_000) -> float:
     """Anchored-box distance sup_B |P(B) - Q(B)| of two discrete measures.
 
     Both measures are piecewise constant on the grid induced by the union of
-    the supports, so the supremum over open boxes is attained on the
-    augmented union grid and over closed boxes on the plain union grid; both
-    are enumerated.
+    the supports, so the supremum over closed boxes is attained on the plain
+    union grid.  Open boxes add nothing: the open box at augmented-grid
+    index t + 1 holds exactly the atoms of the closed box at plain-grid
+    index t, and an open box with an index 0 on some axis is empty.  The
+    open tensor is thus the closed deposit shifted by one cell per axis,
+    and since 0.0 + x == x each of its entries is bitwise a closed entry or
+    0.  Only the closed side is enumerated; the budget still counts the
+    augmented grid's corners.
     """
     if P.d != Q.d:
         raise ValueError("measures must share the dimension")
-    pts = np.vstack([P.atoms, Q.atoms])
-    w = np.concatenate([P.probabilities, -Q.probabilities])
-    plain, aug = _grid_axes(pts)
-    _check_budget(math.prod(map(len, aug)), "grid corners", budget, "two-measure distance")
-    best = 0.0
-    open_diff = _count_tensor(aug, pts, w, "open")
-    best = max(best, float(np.max(np.abs(open_diff))))
-    del open_diff
-    closed_diff = _count_tensor(plain, pts, w, "closed")
-    best = max(best, float(np.max(np.abs(closed_diff))))
-    return best
+    cells, gap = _closed_grid(np.vstack([P.atoms, Q.atoms]), budget)
+    return gap(cells, np.concatenate([P.probabilities, -Q.probabilities]))
 
 
 def _supporting_boxes(P: DiscreteMeasure, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -209,16 +221,27 @@ def _measure_on(P: DiscreteMeasure, support_idx: list, q: np.ndarray) -> Discret
     return DiscreteMeasure(P.atoms[support_idx], q)
 
 
-def _inner_distance(P: DiscreteMeasure, support_idx: list, boxes: tuple | None,
-                    budget: int) -> tuple[np.ndarray, float]:
-    """(q, t) on the support sorted increasingly; q follows that order.  With
-    P's supporting-box table ``boxes`` q is LP-optimal, else nearest-mass."""
-    support_idx = sorted(support_idx)
-    if boxes is not None:
-        member, mass = boxes
-        return _inner_lp(member[:, support_idx], mass)
-    q = _nearest_mass_weights(P, support_idx)
-    return q, two_measure_star_disc(P, _measure_on(P, support_idx, q), budget)
+def _support_scorer(P: DiscreteMeasure, exact_inner: bool, budget: int):
+    """The inner problem of one reduction of P, set up once: a function from
+    a support to (q, t) on that support sorted increasingly, q in that order.
+
+    With ``exact_inner`` q is LP-optimal over P's supporting boxes.  Else q
+    is nearest-mass and t is ``two_measure_star_disc`` of P and q, to the
+    bit: the support's atoms are P's, so the union grid is P's grid and
+    [p, -q] goes to the cells of P's atoms and then of the support's.
+    """
+    if exact_inner:
+        member, mass = _supporting_boxes(P, budget)
+        return lambda support: _inner_lp(member[:, sorted(support)], mass)
+    cells, gap = _closed_grid(P.atoms, budget)
+
+    def nearest(support):
+        support = sorted(support)
+        q = _nearest_mass_weights(P, support)
+        return q, gap(np.concatenate([cells, cells[support]]),
+                      np.concatenate([P.probabilities, -q]))
+
+    return nearest
 
 
 _TIE = 1e-9  # candidates this close to the incumbent tie; the earlier wins
@@ -229,7 +252,7 @@ def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
     """Grow the support greedily, one atom at a time, smallest distance first."""
     if not (1 <= n <= P.n):
         raise ValueError("need 1 <= n <= number of atoms")
-    boxes = _supporting_boxes(P, budget) if exact_inner else None
+    score = _support_scorer(P, exact_inner, budget)
     chosen: list[int] = []
     trace = []
     while len(chosen) < n:
@@ -237,8 +260,7 @@ def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
         for cand in range(P.n):
             if cand in chosen:
                 continue
-            trial = chosen + [cand]
-            qc, t = _inner_distance(P, trial, boxes, budget)
+            qc, t = score(chosen + [cand])
             if best is None or t < best[1] - _TIE:
                 best = (cand, t, qc)
         chosen.append(best[0])
@@ -253,16 +275,15 @@ def backward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
     """Shrink the support greedily from the full set, best removal first."""
     if not (1 <= n <= P.n):
         raise ValueError("need 1 <= n <= number of atoms")
-    boxes = _supporting_boxes(P, budget) if exact_inner else None
+    score = _support_scorer(P, exact_inner, budget)
     chosen = list(range(P.n))
     trace = [(P.n, 0.0)]
     if n == P.n:  # nothing to remove, but the weights still come from a solve
-        q, dist = _inner_distance(P, chosen, boxes, budget)
+        q, dist = score(chosen)
     while len(chosen) > n:
         best = None
         for cand in chosen:
-            trial = [i for i in chosen if i != cand]
-            qc, t = _inner_distance(P, trial, boxes, budget)
+            qc, t = score([i for i in chosen if i != cand])
             if best is None or t < best[1] - _TIE:
                 best = (cand, t, qc)
         chosen.remove(best[0])

@@ -287,6 +287,16 @@ def _count_tensor(axes: list[np.ndarray], pts: np.ndarray, w: np.ndarray | None,
     two per axis.  With ``w`` None, integer unit counts are accumulated
     instead (exact and faster).
     """
+    keep, cells = _grid_cells(axes, pts, side)
+    return _prefix_sums(tuple(len(a) for a in axes), cells,
+                        None if w is None else w[keep])
+
+
+def _grid_cells(axes: list[np.ndarray], pts: np.ndarray,
+                side: str | list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, cells): which points lie in some box of the corner grid, and
+    for each of those the flat index of the smallest corner whose box holds
+    it.  ``side`` as for :func:`_count_tensor`."""
     sides = [side] * len(axes) if isinstance(side, str) else side
     shape = tuple(len(a) for a in axes)
     idx = np.empty((pts.shape[0], len(axes)), dtype=np.int64)
@@ -294,14 +304,15 @@ def _count_tensor(axes: list[np.ndarray], pts: np.ndarray, w: np.ndarray | None,
         srt = "right" if sides[j] == "open" else "left"
         idx[:, j] = np.searchsorted(a, pts[:, j], side=srt)
     keep = np.all(idx < np.array(shape), axis=1)
+    return keep, np.ravel_multi_index(tuple(idx[keep].T), shape)
+
+
+def _prefix_sums(shape: tuple, cells: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Deposit ``w[i]`` (a unit count with ``w`` None) at flat cell
+    ``cells[i]``, in order, then take prefix sums along every axis."""
     H = np.zeros(shape, dtype=np.int32 if w is None else np.float64)
-    if np.any(keep):
-        flat = np.ravel_multi_index(tuple(idx[keep].T), shape)
-        if w is None:
-            np.add.at(H.reshape(-1), flat, np.int32(1))
-        else:
-            np.add.at(H.reshape(-1), flat, w[keep])
-    for ax in range(len(axes)):
+    np.add.at(H.reshape(-1), cells, np.int32(1) if w is None else w)
+    for ax in range(len(shape)):
         np.cumsum(H, axis=ax, out=H)
     return H
 

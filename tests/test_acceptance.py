@@ -94,12 +94,12 @@ def test_criterion_3_l2_consistency():
         n = int(rng.integers(1, 1001))
         d = int(rng.integers(1, 9))
         X = PointSet(rng.random((n, d)))
-        a, b = warnock_star_l2_sq(X), warnock_star_l2_sq_stable(X)
-        worst_stable = max(worst_stable, abs(a - b) / max(abs(a), abs(b)))
+        ref = float(oracles.warnock_star_l2_sq_longdouble(X.points))
+        worst_stable = max(worst_stable, abs(warnock_star_l2_sq_stable(X) - ref) / abs(ref))
     elapsed = time.perf_counter() - t0
     ok = worst_fast <= 1e-10 and worst_stable <= 1e-12 and elapsed < 300.0
     verdict(3, ok, f"fast-vs-direct rel<={worst_fast:.2e} (100 instances), "
-                   f"stable-vs-plain rel<={worst_stable:.2e}, {elapsed:.1f}s")
+                   f"stable-vs-extended-precision rel<={worst_stable:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_4_formula_cross_validation():

@@ -126,6 +126,22 @@ class TestTwoMeasureDistance:
             Q = DiscreteMeasure(aq, pq)
             want = oracles.two_measure_disc_brute(ap, pp, aq, pq)
             assert two_measure_star_disc(P, Q) == pytest.approx(want, abs=1e-12)
+        # the edge cases of enumerating closed boxes only: d up to 3,
+        # coordinates tied on multiples of 1/4 with atoms at 0 and at 1, and
+        # Q on a subset of P's atoms in every other case
+        levels = np.arange(5) / 4
+        for i in range(60):
+            d = 1 + i % 3
+            ap = np.unique(rng.choice(levels, size=(int(rng.integers(1, 9)), d)), axis=0)
+            if i % 2:
+                aq = ap[rng.choice(len(ap), size=int(rng.integers(1, len(ap) + 1)),
+                                   replace=False)]
+            else:
+                aq = np.unique(rng.choice(levels, size=(int(rng.integers(1, 9)), d)), axis=0)
+            pp, pq = rng.dirichlet(np.ones(len(ap))), rng.dirichlet(np.ones(len(aq)))
+            want = oracles.two_measure_disc_brute(ap, pp, aq, pq)
+            got = two_measure_star_disc(DiscreteMeasure(ap, pp), DiscreteMeasure(aq, pq))
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestInnerWeights:
@@ -271,9 +287,8 @@ class TestSelection:
         assert [s for s, _ in res.trace] == [1, 2, 3, 4]
         assert set(res.support_idx) <= set(range(8))
         assert res.measure.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-        # reported distance recomputes through the public metric
-        assert res.distance == pytest.approx(
-            two_measure_star_disc(P, res.measure), abs=1e-9)
+        # reported distance recomputes through the public metric, bit for bit
+        assert res.distance == two_measure_star_disc(P, res.measure)
         # and is the distance of the last greedy step, not a second solve
         assert res.distance == res.trace[-1][1]
 

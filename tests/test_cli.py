@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from discrepkit import PointSet, midpoint_set
+from discrepkit import DiscreteMeasure, PointSet, midpoint_set
 from discrepkit.cli import (ParseError, read_marginals, read_measure,
                             read_pointset, run_command, write_measure,
                             write_pointset)
@@ -255,6 +255,16 @@ class TestCommands:
         assert rec["distance"] == pytest.approx(rec["recomputed_distance"], abs=1e-9)
         red = read_measure(str(out))
         assert red.n == 2
+
+    @pytest.mark.parametrize("method", ["forward", "backward"])
+    def test_reduce_nearest_mass_recomputes_exactly(self, tmp_path, method):
+        m = tmp_path / "m.txt"
+        write_measure(str(m), DiscreteMeasure.uniform(
+            np.random.default_rng(41).random((12, 2))))
+        code, rep = run(["reduce", "--input", str(m), "--n", "4", "--method", method])
+        assert code == 0
+        rec = rep.records[0]
+        assert rec["recomputed_distance"] == rec["distance"]
 
     def test_optimize_perms(self):
         code, rep = run(["optimize-perms", "--d", "2", "--points", "16",

@@ -151,6 +151,31 @@ def _l2():
     return out
 
 
+def _reduction(res):
+    return {"support": list(res.support_idx),
+            "distance": float(res.distance).hex(),
+            "trace": [[s, float(t).hex()] for s, t in res.trace],
+            "probabilities": _floats(res.measure.probabilities)}
+
+
+def _reduce_large():
+    """Nearest-mass reductions of a 100-atom measure in d = 2 and of a
+    weighted d = 3 measure on a coarse lattice (ties, atoms at 0 and 1)."""
+    rng = np.random.default_rng(16)
+    levels = np.arange(5) / 4
+    cells = rng.choice(5 ** 3, size=40, replace=False)
+    measures = {
+        "uniform-2d-100": (DiscreteMeasure.uniform(rng.random((100, 2))), 10, 90),
+        "tied-3d-40": (DiscreteMeasure(levels[np.array(np.unravel_index(cells, (5,) * 3)).T],
+                                       rng.dirichlet(np.ones(40))), 6, 34),
+    }
+    out = {}
+    for name, (P, n_fwd, n_bwd) in measures.items():
+        out[f"{name}/forward_selection/{n_fwd}"] = _reduction(forward_selection(P, n_fwd))
+        out[f"{name}/backward_selection/{n_bwd}"] = _reduction(backward_selection(P, n_bwd))
+    return out
+
+
 def fingerprint(tmp: Path) -> dict:
     sets = _sets()
     fp: dict = {"ta_basic": {}, "ta_improved": {}, "ga": {}, "snap": {},
@@ -195,6 +220,7 @@ def fingerprint(tmp: Path) -> dict:
                         "probabilities": _floats(res.measure.probabilities),
                         "atoms": _floats(res.measure.atoms),
                     }
+    fp["reduce_large"] = _reduce_large()
     fp["cli"] = _cli_records(tmp)
     fp["halton"] = _halton()
     best = optimize_halton_permutations(5, 64, 4, 8, 4, seed=7)
