@@ -135,14 +135,13 @@ class TAConfig:
 
     ``iterations`` moves per run (per phase for the improved variant), ``mc``
     coordinates changed per move, grid radius ``k`` for the basic variant,
-    number of threshold segments (default about sqrt(iterations)), and the
-    seed of the single random stream.
+    and the seed of the single random stream.  The threshold schedule has
+    about sqrt(iterations) segments.
     """
 
     iterations: int
     mc: int = 2
     k: int = 8
-    schedule_length: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -158,8 +157,7 @@ def _random_index(ws: _Workspace, rng) -> list:
     return [int(rng.integers(0, s)) for s in ws.sizes]
 
 
-def _thresholds(ws: _Workspace, iterations: int, schedule_length: int | None, rng,
-                move_change) -> tuple[list, int]:
+def _thresholds(ws: _Workspace, iterations: int, rng, move_change) -> tuple[list, int]:
     """Threshold schedule from sampled neighbor pairs.
 
     Draws about sqrt(iterations) random grid corners, asks ``move_change``
@@ -168,7 +166,7 @@ def _thresholds(ws: _Workspace, iterations: int, schedule_length: int | None, rn
     median toward zero, the last segment pinned at zero.
     """
     seg_len = max(1, math.isqrt(iterations - 1) + 1) if iterations > 1 else 1
-    n_seg = schedule_length or max(1, math.ceil(iterations / seg_len))
+    n_seg = math.ceil(iterations / seg_len)
     seg_len = math.ceil(iterations / n_seg)
     J = max(4, math.isqrt(iterations - 1) + 1) if iterations > 1 else 4
     deltas = np.empty(J)
@@ -207,7 +205,7 @@ def ta_basic(X: PointSet, cfg: TAConfig) -> BoundResult:
         f = ws.delta_star(ws.corner(idx))
         return ws.delta_star(ws.corner(neighbor(idx))) - f
 
-    sched, seg_len = _thresholds(ws, cfg.iterations, cfg.schedule_length, rng, move_change)
+    sched, seg_len = _thresholds(ws, cfg.iterations, rng, move_change)
 
     idx = _random_index(ws, rng)
     y = ws.corner(idx)
@@ -290,7 +288,7 @@ def ta_improved(X: PointSet, cfg: TAConfig) -> BoundResult:
                 return ws.delta_bar(_snap_down(zt, ws.plain)) - ws.delta_bar(yy)
             return ws.delta(ws.snap_up(zt, rng)) - ws.delta(yy)
 
-        sched, seg_len = _thresholds(ws, iters, cfg.schedule_length, rng, move_change)
+        sched, seg_len = _thresholds(ws, iters, rng, move_change)
         for it in range(iters):
             T = sched[min(it // seg_len, len(sched) - 1)]
             frac = it / max(iters - 1, 1)

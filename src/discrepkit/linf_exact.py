@@ -263,22 +263,6 @@ def star_3d(X: PointSet) -> StarResult:
 # Dobkin-Eppstein-Mitchell decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DemRegion:
-    """A region [a,b] at a level of the recursive decomposition.
-
-    ``inside`` indexes the points contained in [0, b); ``internal_dim`` maps
-    a point index to the unique coordinate j <= level in which it is internal
-    (strictly between a_j and b_j while being below b elsewhere).
-    """
-
-    level: int
-    a: np.ndarray
-    b: np.ndarray
-    inside: list
-    internal_dim: dict
-
-
 def _dem_cuts(coords: np.ndarray, forced: set, cap: int) -> list[float]:
     """Cut values along one axis: forced values plus enough extra cuts that
     every open gap holds at most ``cap`` strictly inside coordinates."""
@@ -293,6 +277,32 @@ def _dem_cuts(coords: np.ndarray, forced: set, cap: int) -> list[float]:
             inside = inside[inside > v]
         final.append(hi)
     return final
+
+
+def _dem_dp(cands: list[list[tuple[float, int]]], size: int, maximize: bool) -> list:
+    """(count -> extremal volume) dynamic program of one cell.
+
+    ``cands[j]`` lists coordinate j's candidate values, each with the number
+    of the cell's internal points it counts.  Returns one state per count:
+    ``(volume, corner)``, or None when no corner has that count.  Volumes are
+    products taken left to right from 1.0, counts are visited in ascending
+    order and candidates in list order, and only a strictly better volume
+    replaces a state, so each state keeps the first extremal corner.
+    """
+    states: list = [(1.0, ())] + [None] * (size - 1)
+    for cand in cands:
+        nxt: list = [None] * size
+        for c, state in enumerate(states):
+            if state is None:
+                continue
+            vol, corner = state
+            for v, cnt in cand:
+                val = vol * v
+                cur = nxt[c + cnt]
+                if cur is None or (val > cur[0] if maximize else val < cur[0]):
+                    nxt[c + cnt] = (val, corner + (v,))
+        states = nxt
+    return states
 
 
 def star_dem(X: PointSet, validate: bool = False) -> StarResult:
@@ -310,6 +320,15 @@ def star_dem(X: PointSet, validate: bool = False) -> StarResult:
     on the lower side for open boxes and on the upper side for closed boxes,
     which makes the per-cell counts exact even with duplicate coordinates.
 
+    A region at level j is passed as its bounds ``a`` and ``b`` (the first j
+    lower and upper cut values), ``inside`` (the points in [0, b)) and
+    ``idim``, which maps each point internal in some coordinate k < j
+    (strictly between a_k and b_k while below b elsewhere) to that k.  Each DP
+    state keeps the first extremal corner of its count and the best value is
+    replaced only by a strictly larger one, so among tied corners the witness
+    is the first met: regions in cut order, the open side before the closed
+    side of each cell, counts in ascending order.
+
     ``validate`` additionally asserts the two decomposition invariants in
     every region (for tests; quadratic overhead).
     """
@@ -318,153 +337,67 @@ def star_dem(X: PointSet, validate: bool = False) -> StarResult:
     cap = math.isqrt(n)
     if cap * cap < n:
         cap += 1
-    grids, _ = _grid_axes(pts)
+    grids = [g.tolist() for g in _grid_axes(pts)[0]]
+    best = [-np.inf, None, "open"]  # value, corner, kind
 
-    best = {"value": -np.inf, "corner": None, "kind": "open"}
+    def consider(states: list, sign: int, base: int, kind: str) -> None:
+        for c, state in enumerate(states):
+            if state is not None:
+                val = sign * (state[0] - (base + c) / n)
+                if val > best[0]:
+                    best[:] = [val, state[1], kind]
 
-    def consider(value: float, corner: list[float], kind: str) -> None:
-        if value > best["value"]:
-            best["value"] = value
-            best["corner"] = list(corner)
-            best["kind"] = kind
-
-    def recurse(region: DemRegion) -> None:
-        if validate:
-            _dem_check(region)
-        if region.level == d:
-            _dem_cell(region)
-            return
-        j = region.level
-        coords = pts[region.inside, j] if region.inside else np.empty(0)
-        forced = {float(pts[i, j]) for i in region.inside if i in region.internal_dim}
-        segs = _dem_cuts(coords, forced, cap)
-        for t in range(len(segs) - 1):
-            lo, hi = segs[t], segs[t + 1]
-            a2, b2 = region.a.copy(), region.b.copy()
-            a2[j], b2[j] = lo, hi
-            keep = [i for i in region.inside if pts[i, j] < hi]
-            idim = {}
-            for i in keep:
-                prev = region.internal_dim.get(i)
-                if prev is not None:
-                    idim[i] = prev
-                elif lo < pts[i, j] < hi:
-                    idim[i] = j
-            recurse(DemRegion(region.level + 1, a2, b2, keep, idim))
-
-    def _dem_check(region: DemRegion) -> None:
-        for i in region.inside:
-            internal = [j for j in range(region.level)
-                        if region.a[j] < pts[i, j] < region.b[j]]
+    def check(j: int, a: tuple, b: tuple, inside: list, idim: dict) -> None:
+        for i in inside:
+            internal = [k for k in range(j) if a[k] < pts[i, k] < b[k]]
             assert len(internal) <= 1, "point internal in two dimensions"
-            assert region.internal_dim.get(i) == (internal[0] if internal else None)
-        for j in range(region.level):
-            cnt = sum(1 for i in region.inside if region.internal_dim.get(i) == j)
+            assert idim.get(i) == (internal[0] if internal else None)
+        for k in range(j):
+            cnt = sum(1 for i in inside if idim.get(i) == k)
             assert cnt <= cap, "too many internal points in one dimension"
 
-    def _dem_cell(region: DemRegion) -> None:
-        a, b = region.a, region.b
-        base = 0
+    def cell(a: tuple, b: tuple, inside: list, idim: dict) -> None:
         per_dim: list[list[float]] = [[] for _ in range(d)]
-        for i in region.inside:
-            jdim = region.internal_dim.get(i)
-            if jdim is None:
-                base += 1
-            else:
-                per_dim[jdim].append(float(pts[i, jdim]))
-        for vals in per_dim:
+        for i, j in idim.items():
+            per_dim[j].append(float(pts[i, j]))
+        # per coordinate, each distinct internal value counts the internal
+        # points strictly below it on the open side and at or below it on the
+        # closed side; the open side adds b_j (count = all), the closed side,
+        # below the internal values, the smallest grid value in [a_j, b_j)
+        # (count 0).  A coordinate without closed candidates has no closed box.
+        open_c, closed_c = [], []
+        for j, vals in enumerate(per_dim):
             vals.sort()
-        n_int = sum(len(v) for v in per_dim)
-
-        # open side: per coordinate the candidates are the distinct internal
-        # values (count = #internal strictly below) and b_j (count = all);
-        # the maximizing value per count class.
-        open_cands: list[list[tuple[float, int]]] = []
-        for j in range(d):
-            vals = per_dim[j]
-            cand: list[tuple[float, int]] = []
-            prev = None
-            for t, v in enumerate(vals):
-                if v != prev:
-                    cand.append((v, t))
-                    prev = v
-            cand.append((float(b[j]), len(vals)))
-            open_cands.append(cand)
-        got, vol, corner = _dem_dp(open_cands, n_int, maximize=True)
-        if got is not None:
-            for c in got:
-                consider(vol[c] - (base + c) / n, corner[c], "open")
-
-        # closed side: candidates are the distinct internal values (count =
-        # #internal at or below) and, below them, the smallest global grid
-        # value in [a_j, b_j) with count 0; the minimizing value per class.
-        closed_cands: list[list[tuple[float, int]]] = []
-        feasible = True
-        for j in range(d):
-            vals = per_dim[j]
-            cand = []
-            prev = None
-            for t in range(len(vals)):
-                v = vals[t]
-                if v != prev:
-                    cnt = bisect.bisect_right(vals, v)
-                    cand.append((v, cnt))
-                    prev = v
+            distinct = list(dict.fromkeys(vals))
+            open_c.append([(v, bisect.bisect_left(vals, v)) for v in distinct]
+                          + [(b[j], len(vals))])
+            closed = [(v, bisect.bisect_right(vals, v)) for v in distinct]
             g = grids[j]
-            pos = np.searchsorted(g, a[j], side="left")
-            if pos < len(g) and g[pos] < b[j] and (not cand or g[pos] < cand[0][0]):
-                cand.insert(0, (float(g[pos]), 0))
-            if not cand:
-                feasible = False
-                break
-            closed_cands.append(cand)
-        if feasible:
-            got, vol, corner = _dem_dp(closed_cands, n_int, maximize=False)
-            if got is not None:
-                for c in got:
-                    consider((base + c) / n - vol[c], corner[c], "closed")
+            pos = bisect.bisect_left(g, a[j])
+            if pos < len(g) and g[pos] < b[j] and (not closed or g[pos] < closed[0][0]):
+                closed.insert(0, (g[pos], 0))
+            closed_c.append(closed)
+        base = len(inside) - len(idim)
+        consider(_dem_dp(open_c, len(idim) + 1, True), 1, base, "open")
+        if all(closed_c):
+            consider(_dem_dp(closed_c, len(idim) + 1, False), -1, base, "closed")
 
-    def _dem_dp(cands: list[list[tuple[float, int]]], n_int: int, maximize: bool):
-        """(count -> extremal volume) DP with witness reconstruction."""
-        size = n_int + 1
-        NO = None
-        vol = [1.0] + [NO] * (size - 1)
-        par: list[list] = []
-        for j in range(len(cands)):
-            nxt: list = [NO] * size
-            choice: list = [None] * size
-            for c in range(size):
-                base_v = vol[c]
-                if base_v is None:
-                    continue
-                for (v, cnt) in cands[j]:
-                    cc = c + cnt
-                    if cc >= size:
-                        break
-                    val = base_v * v
-                    cur = nxt[cc]
-                    if cur is None or (val > cur if maximize else val < cur):
-                        nxt[cc] = val
-                        choice[cc] = (c, v)
-            vol = nxt
-            par.append(choice)
-        reach = [c for c in range(size) if vol[c] is not None]
-        if not reach:
-            return None, None, None
-        corners: dict[int, list[float]] = {}
-        for c in reach:
-            path = []
-            cc = c
-            for j in range(len(cands) - 1, -1, -1):
-                prev, v = par[j][cc]
-                path.append(v)
-                cc = prev
-            corners[c] = path[::-1]
-        return reach, vol, corners
+    def recurse(j: int, a: tuple, b: tuple, inside: list, idim: dict) -> None:
+        if validate:
+            check(j, a, b, inside, idim)
+        if j == d:
+            cell(a, b, inside, idim)
+            return
+        coords = pts[inside, j] if inside else np.empty(0)
+        segs = _dem_cuts(coords, {float(pts[i, j]) for i in idim}, cap)
+        for lo, hi in zip(segs, segs[1:]):
+            keep = [i for i in inside if pts[i, j] < hi]
+            recurse(j + 1, a + (lo,), b + (hi,), keep,
+                    {i: idim.get(i, j) for i in keep
+                     if i in idim or lo < pts[i, j] < hi})
 
-    root = DemRegion(0, np.zeros(d), np.ones(d), list(range(n)), {})
-    recurse(root)
-    return _result_at(X, np.array(best["corner"]), best["kind"])
+    recurse(0, (), (), list(range(n)), {})
+    return _result_at(X, np.array(best[1]), best[2])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ and its ``_stable`` name, extreme, weighted, modified), so a refactor of the
 pair kernel must keep their rounding too; a deliberate change of that rounding (say, pair
 products in extended precision) re-pins this section and may change the
 ``perms`` section, whose search ranks candidates by L2 values.
+The ``dem`` section pins the value, kind and witness of the decomposition
+``star_dem`` on seeded sets in d = 2 to 6 (uniform points, tied levels with
+zero among them, zero-heavy coordinates, duplicate points), so a rewrite of
+the decomposition must keep which of several tied corners it reports; a
+deliberate change of that tie-break re-pins this section only.
 """
 
 import json
@@ -25,9 +30,9 @@ from discrepkit import (DiscreteMeasure, PermutationConfig, PointSet, TAConfig,
                         forward_selection, ga_lower_bound, halton, modified_l2_sq,
                         optimize_halton_permutations, radical_inverse,
                         random_permutation, reverse_permutation,
-                        scrambled_radical_inverse, snap_down, snap_up, ta_basic,
-                        ta_improved, warnock_star_l2_sq, warnock_star_l2_sq_stable,
-                        weighted_star_l2_sq)
+                        scrambled_radical_inverse, snap_down, snap_up, star_dem,
+                        ta_basic, ta_improved, warnock_star_l2_sq,
+                        warnock_star_l2_sq_stable, weighted_star_l2_sq)
 from discrepkit.cli import run_command, write_pointset
 
 PINNED = Path(__file__).with_name("fingerprint.json")
@@ -151,6 +156,31 @@ def _l2():
     return out
 
 
+def _dem():
+    """``star_dem`` on uniform, tied (four levels and eighths), zero-heavy and
+    duplicated sets, three sizes per dimension: kind, value and witness.  The
+    seed is one for which a non-strict comparison in either the cell DP or
+    the running best moves some witness, so the section sees tie-breaks."""
+    rng = np.random.default_rng(4715)
+    levels = np.array([0.0, 0.25, 0.5, 0.75])
+    out = {}
+    for d, n in ((2, 8), (2, 24), (2, 64), (3, 8), (3, 20), (3, 48), (4, 8), (4, 16),
+                 (4, 36), (5, 8), (5, 12), (5, 22), (6, 6), (6, 9), (6, 14)):
+        zeros = rng.random((n, d))
+        zeros[rng.random((n, d)) < 0.3] = 0.0
+        half = rng.random((n // 2, d))
+        sets = {"uniform": PointSet(rng.random((n, d))),
+                "tied": _tied(rng, n, d, levels),
+                "eighths": _tied(rng, n, d, np.arange(8) / 8),
+                "zeros": PointSet(zeros),
+                "duplicates": PointSet(np.vstack([half, half[::-1]]))}
+        for name, X in sets.items():
+            res = star_dem(X)
+            out[f"{name}-{d}d-{n}"] = ([res.kind, float(res.value).hex()]
+                                       + _floats(res.witness))
+    return out
+
+
 def _reduction(res):
     return {"support": list(res.support_idx),
             "distance": float(res.distance).hex(),
@@ -226,6 +256,7 @@ def fingerprint(tmp: Path) -> dict:
     best = optimize_halton_permutations(5, 64, 4, 8, 4, seed=7)
     fp["perms"] = [[int(v) for v in pi] for pi in best.permutations]
     fp["l2"] = _l2()
+    fp["dem"] = _dem()
     return fp
 
 

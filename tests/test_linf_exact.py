@@ -179,10 +179,19 @@ class TestStarDem:
         assert star_dem(PointSet([[0.5, 0.5]])).value == 0.75
 
     def test_matches_grid_enum_randomized(self, rng):
+        sets = []
         for _ in range(60):
             d = int(rng.integers(2, 6))
             n = int(rng.integers(1, 25 if d < 4 else 14))
-            X = random_pointset_with_ties(rng, n, d)
+            sets.append(random_pointset_with_ties(rng, n, d))
+        for _ in range(10):
+            sets.append(random_pointset_with_ties(rng, int(rng.integers(4, 9)), 6))
+        for _ in range(20):  # zero-heavy: about 40 % zero coordinates
+            d = int(rng.integers(2, 7))
+            pts = rng.random((int(rng.integers(4, 14 if d < 6 else 9)), d))
+            pts[rng.random(pts.shape) < 0.4] = 0.0
+            sets.append(PointSet(pts))
+        for X in sets:
             a = star_dem(X, validate=True)
             b = star_grid_enum(X)
             assert a.value == pytest.approx(b.value, abs=1e-12)
