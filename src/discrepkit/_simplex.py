@@ -4,7 +4,8 @@ Solves  min c.x  subject to  A x = b, x >= 0  on small dense instances.  The
 caller supplies a feasible basis, one column per row; there is no phase 1.
 Bland's pivoting rule (smallest eligible index) excludes cycling, which
 matters here because the scenario-reduction programs are heavily degenerate.
-Intended for desk-scale sizes, a few hundred rows at most.
+Intended for desk-scale sizes: the scenario-reduction program has one row
+per support atom plus one.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> None:
         _pivot(T, basis, row, col)
 
 
-def solve_lp(c, A, b, basis) -> tuple[np.ndarray, float]:
+def solve_lp(c, A, b, basis) -> tuple[np.ndarray, float, np.ndarray]:
     """Solve min c.x s.t. A x = b, x >= 0, starting from the feasible basis
-    ``basis`` (column basis[r] basic in row r); returns (x, objective)."""
+    ``basis`` (column basis[r] basic in row r); returns (x, objective,
+    reduced_costs), the last being c - A'y for the optimal basis's duals y."""
     m, n = np.shape(A)
     basis = np.array(basis, dtype=np.intp)
     if np.shape(b) != (m,) or np.shape(c) != (n,) or basis.shape != (m,):
@@ -69,4 +71,4 @@ def solve_lp(c, A, b, basis) -> tuple[np.ndarray, float]:
 
     x = np.zeros(n)
     x[basis] = T[:m, -1]
-    return x, float(np.dot(c, x))
+    return x, float(np.dot(c, x)), T[-1, :n]

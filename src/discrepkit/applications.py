@@ -5,8 +5,8 @@ approximate a discrete probability measure P by a measure Q supported on a
 small subset of P's atoms, minimizing the anchored-box (Kolmogorov-type)
 distance.  The outer support search is greedy forward or backward selection.
 The inner probability optimization is either a small linear program whose
-constraints are indexed by the supporting boxes, which are exactly the
-critical corners of the grid induced by P's atoms, or, by default, the
+constraints are indexed by the supporting boxes, P's closed critical
+boxes, solved as its dual with one row per support atom, or, by default, the
 nearest-mass heuristic (each atom's mass moves to its nearest kept atom).
 Either is set up once per reduction: the box table, or P's closed grid on
 which every nearest-mass candidate is scored, since a candidate's atoms are
@@ -135,49 +135,51 @@ def two_measure_star_disc(P: DiscreteMeasure, Q: DiscreteMeasure,
 
 
 def _supporting_boxes(P: DiscreteMeasure, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """The supporting boxes of P: a B x N matrix telling which atoms each box
-    holds, and P's mass in each box.  They depend on P alone, so one table
-    serves every candidate support.  ``budget`` bounds the grid and the
-    entries of the largest simplex tableau :func:`_inner_lp` can build,
-    (2B+2) x (N+2B+2) for B boxes and N atoms."""
+    """The supporting boxes of P, its closed critical boxes: a B x N matrix
+    telling which atoms each box holds, and P's mass in each box.
+
+    Each closed critical corner is the componentwise maximum of the atoms in
+    its box, so the boxes are P's distinct non-empty closed-box atom sets,
+    and B >= 1.  By the shift argument of :func:`two_measure_star_disc`
+    every non-empty open box holds one of these sets, so open boxes add no
+    constraint.  They depend on P alone, so one table serves every candidate
+    support.  ``budget`` bounds the augmented grid and the entries of the
+    largest simplex tableau :func:`_inner_lp` can build, (N+2) x (2B+N+3)
+    for B boxes and N atoms."""
     plain, aug = _grid_axes(P.atoms)
     what = "inner weight optimization"
     _check_budget(math.prod(map(len, aug)), "grid corners", budget, what)
-    (open_y, open_m), (closed_y, closed_m) = _critical_corners(
-        P.atoms, plain, aug, P.probabilities)
-    B = len(open_y) + len(closed_y)
-    _check_budget((2 * B + 2) * (P.n + 2 * B + 2), "simplex tableau entries", budget, what)
-    member = np.vstack([np.all(P.atoms < open_y[:, None], axis=2),
-                        np.all(P.atoms <= closed_y[:, None], axis=2)])
-    return member, np.concatenate([open_m, closed_m])
+    corners, mass = _critical_corners(P.atoms, plain, "closed", P.probabilities)
+    B = len(corners)
+    _check_budget((P.n + 2) * (2 * B + P.n + 3), "simplex tableau entries", budget, what)
+    return np.all(P.atoms <= corners[:, None], axis=2), mass
 
 
 def _inner_lp(member: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve min t s.t. |mass - member q| <= t, q a probability vector, for a
-    B x m membership matrix of the support atoms; returns (q, t)."""
+    B x m membership matrix of the support atoms; returns (q, t).
+
+    The simplex runs on the dual, max mass.(v - u) + z s.t. member'(v - u)
+    + z <= 0 row by row and sum(u + v) = 1, u, v >= 0, z free: m + 1 rows.
+    q is the reduced costs of its slack columns."""
     B, m = member.shape
-    r = np.arange(B)
-    # variables: q_1..q_m, t, then one slack per inequality (2B of them)
-    A = np.zeros((2 * B + 1, m + 1 + 2 * B))
-    A[:B, :m] = A[B : 2 * B, :m] = member
-    A[:B, m] = -1.0                  # q.a - t + s = P(B)
-    A[r, m + 1 + r] = 1.0
-    A[B : 2 * B, m] = 1.0            # q.a + t - s' = P(B)
-    A[B + r, m + 1 + B + r] = -1.0
-    A[2 * B, :m] = 1.0
-    b = np.concatenate([mass, mass, [1.0]])
-    c = np.zeros(A.shape[1])
-    c[m] = 1.0
-    # feasible start: all mass on the first atom, t basic in the row of the
-    # largest deviation, the other 2B - 1 slacks basic in their own rows
-    dev = member[:, 0] - mass
-    basis = m + 1 + np.arange(2 * B + 1)
-    basis[np.argmax(np.concatenate([dev, -dev]))] = m
-    basis[2 * B] = 0
-    x, obj = solve_lp(c, A, b, basis)
-    q = np.maximum(x[:m], 0.0)
+    # variables: u (B), v (B), z = z+ - z-, then one slack per support atom
+    A = np.zeros((m + 1, 2 * B + 2 + m))
+    A[:m, B : 2 * B] = member.T
+    A[:m, :B] = -A[:m, B : 2 * B]
+    A[:m, 2 * B] = 1.0
+    A[:m, 2 * B + 1] = -1.0
+    A[:m, 2 * B + 2 :] = np.eye(m)
+    A[m, : 2 * B] = 1.0
+    b = np.zeros(m + 1)
+    b[m] = 1.0
+    c = np.concatenate([mass, -mass, [-1.0, 1.0], np.zeros(m)])
+    # feasible start: u_0 = 1 and z = 0, so slack i is member[0, i] >= 0
+    basis = np.append(2 * B + 2 + np.arange(m), 0)
+    _, obj, reduced = solve_lp(c, A, b, basis)
+    q = np.maximum(reduced[2 * B + 2 :], 0.0)
     q /= q.sum()
-    return q, float(obj)
+    return q, 0.0 - obj  # t = -obj, but +0.0 where obj is 0.0
 
 
 def optimal_inner_weights(P: DiscreteMeasure, support_idx,
@@ -185,8 +187,8 @@ def optimal_inner_weights(P: DiscreteMeasure, support_idx,
     """Best probabilities on a fixed support subset, by linear programming.
 
     Minimizes t subject to |P(B) - sum_i q_i 1_B(y_i)| <= t over the
-    supporting boxes (critical corners of the union-support grids), with the
-    q_i a probability vector.  Returns (q, t).
+    supporting boxes (P's closed critical boxes), with the q_i a probability
+    vector.  Returns (q, t).
     """
     support_idx = sorted(set(int(i) for i in support_idx))
     if not support_idx:

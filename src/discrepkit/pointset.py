@@ -233,41 +233,20 @@ def classify_critical(y, X: PointSet) -> tuple[bool, bool]:
     A corner is delta-critical if every feasible enlargement of the open box
     strictly increases the point count (vacuously so where no enlargement is
     feasible), and deltabar-critical if every feasible shrinking of the
-    closed box strictly decreases it.  Counts are piecewise constant, so it
-    suffices to test a single-coordinate move to the neighboring grid value.
+    closed box strictly decreases it.  Counts are piecewise constant, so a
+    single-coordinate move decides it, the rule of :func:`_critical_corners`:
+    in every coordinate j, delta needs y_j = 1 or a point at y_j lying
+    strictly inside the box in the other coordinates, deltabar needs y_j = 0
+    or a point at y_j lying weakly inside elsewhere.
     """
     yv = _as_corner(y, X.d)
     pts = X.points
-    plain, aug = _grid_axes(pts)
-    a0 = _count_open(pts, yv)
-    ab0 = _count_closed(pts, yv)
 
-    is_delta = True
-    for j in range(X.d):
-        if yv[j] == 1.0:
-            continue
-        av = aug[j]
-        nxt = av[np.searchsorted(av, yv[j], side="right")]
-        y2 = yv.copy()
-        y2[j] = nxt
-        if _count_open(pts, y2) == a0:
-            is_delta = False
-            break
+    def single_rule(inside, vacuous):
+        rest = inside.sum(axis=1, keepdims=True) - inside == X.d - 1
+        return bool(np.all(vacuous | np.any((pts == yv) & rest, axis=0)))
 
-    is_deltabar = True
-    for j in range(X.d):
-        if yv[j] == 0.0:
-            continue
-        vals = plain[j]
-        pos = np.searchsorted(vals, yv[j], side="left")
-        prev = vals[pos - 1] if pos > 0 else 0.0
-        y2 = yv.copy()
-        y2[j] = prev
-        if _count_closed(pts, y2) == ab0:
-            is_deltabar = False
-            break
-
-    return is_delta, is_deltabar
+    return single_rule(pts < yv, yv == 1.0), single_rule(pts <= yv, yv == 0.0)
 
 
 @dataclass(frozen=True)
@@ -317,38 +296,37 @@ def _prefix_sums(shape: tuple, cells: np.ndarray, w: np.ndarray | None) -> np.nd
     return H
 
 
-def _critical_corners(points: np.ndarray, plain: list, aug: list,
-                      w: np.ndarray | None = None) -> list:
-    """Critical corners of the induced grids with their box contents.
+def _critical_corners(points: np.ndarray, axes: list, side: str,
+                      w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Critical corners of one side of the induced grids with their box
+    contents: the open side on the augmented grid ``axes``, the closed side
+    on the plain one.
 
-    Returns [(corners, contents)] for the open side (augmented grid), then
-    the closed side (plain grid), each in grid order: ``corners`` is (B, d)
-    and ``contents`` the points in each box, counted, or weighed with ``w``.
+    Returns (corners, contents) in grid order: ``corners`` is (B, d) and
+    ``contents`` the points in each box, counted, or weighed with ``w``.
     Open side: a corner is critical when in every coordinate either the
     value is 1 or some point sits exactly at the value while lying strictly
     inside the box in all other coordinates.  Closed side: some point sits
-    at the value while lying weakly inside elsewhere.  This single-coordinate
-    rule leaves out the origin corner when no point sits there, although it
-    is vacuously deltabar-critical.
+    at the value while lying weakly inside elsewhere, so each closed corner
+    is the componentwise maximum of the points in its box.  This
+    single-coordinate rule leaves out the origin corner when no point sits
+    there, although it is vacuously deltabar-critical.
     """
     d = points.shape[1]
-    out = []
-    for axes, side in ((aug, "open"), (plain, "closed")):
-        mask = np.ones(tuple(len(a) for a in axes), dtype=bool)
-        for j in range(d):
-            # points at the value in coordinate j (the axes hold every
-            # coordinate), inside the box in the others
-            sides = [side] * d
-            sides[j] = "closed"
-            counts = _count_tensor(axes, points, None, sides)
-            at_j = np.diff(counts, axis=j, prepend=0) > 0
-            if side == "open":  # a coordinate at 1 needs no enlargement witness
-                at_j[(slice(None),) * j + (-1,)] = True
-            mask &= at_j
-        idx = np.nonzero(mask)
-        corners = np.stack([axes[j][idx[j]] for j in range(d)], axis=1)
-        out.append((corners, _count_tensor(axes, points, w, side)[idx]))
-    return out
+    mask = np.ones(tuple(len(a) for a in axes), dtype=bool)
+    for j in range(d):
+        # points at the value in coordinate j (the axes hold every
+        # coordinate), inside the box in the others
+        sides = [side] * d
+        sides[j] = "closed"
+        counts = _count_tensor(axes, points, None, sides)
+        at_j = np.diff(counts, axis=j, prepend=0) > 0
+        if side == "open":  # a coordinate at 1 needs no enlargement witness
+            at_j[(slice(None),) * j + (-1,)] = True
+        mask &= at_j
+    idx = np.nonzero(mask)
+    corners = np.stack([axes[j][idx[j]] for j in range(d)], axis=1)
+    return corners, _count_tensor(axes, points, w, side)[idx]
 
 
 def enumerate_critical(X: PointSet, k: int | None = None,
@@ -365,7 +343,8 @@ def enumerate_critical(X: PointSet, k: int | None = None,
     if total > budget:
         raise BudgetExceededError(
             f"induced grid has {total} corners, exceeding the budget of {budget}")
-    (open_y, open_c), (closed_y, closed_c) = _critical_corners(X.points, plain, aug)
+    open_y, open_c = _critical_corners(X.points, aug, "open")
+    closed_y, closed_c = _critical_corners(X.points, plain, "closed")
     if all(v[0] == 0.0 for v in plain) and not np.any(np.all(closed_y == 0.0, axis=1)):
         # no coordinate of the origin can shrink: critical though empty
         closed_y = np.vstack([np.zeros((1, X.d)), closed_y])

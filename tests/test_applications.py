@@ -18,8 +18,9 @@ from discrepkit.cli import run_command, write_measure
 class TestSimplex:
     def test_tiny_lp(self):
         # min -x1 - x2  s.t.  x1 + x2 + s = 1, from the slack basis
-        x, obj = solve_lp([-1.0, -1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], [2])
+        x, obj, reduced = solve_lp([-1.0, -1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], [2])
         assert obj == pytest.approx(-1.0, abs=1e-12)
+        assert reduced.tolist() == [0.0, 0.0, 1.0]
 
     def test_infeasible(self):
         # the caller's starting basis is checked: a singular one (a repeated
@@ -68,10 +69,17 @@ class TestSimplex:
                 with pytest.raises(LPError, match="unbounded"):
                     solve_lp(c, A, b, np.arange(k, k + m))
                 continue
-            x, obj = solve_lp(c, A, b, np.arange(k, k + m))
+            x, obj, reduced = solve_lp(c, A, b, np.arange(k, k + m))
             assert obj == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
             assert np.allclose(A @ x, b, atol=1e-7)
             assert np.all(x >= -1e-9)
+            # the reduced costs certify optimality: dual feasible,
+            # complementary, and the duals y of the identity columns
+            # (reduced = c - y there) reach the optimum
+            assert np.all(reduced >= -1e-9)
+            assert np.all(np.abs(x * reduced) <= 1e-9)
+            y = c[k:] - reduced[k:]
+            assert b @ y == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
         assert 0 < unbounded < 25
 
 
@@ -331,15 +339,15 @@ class TestSelection:
             assert got == want
 
     def test_exact_inner_lp_honours_budget(self, tmp_path, monkeypatch):
-        # 100 atoms in d = 2: the grid has 101^2 = 10201 corners, well within
-        # the default budget, but P has 4839 supporting boxes and the simplex
-        # tableau would hold about 9.5e7 entries
+        # 200 atoms in d = 2: the grid has 201^2 = 40401 corners, well within
+        # the default budget, but P has 10236 closed critical boxes and the
+        # dual simplex tableau would hold (N+2)(2B+N+3) = 4176350 entries
         def no_lp(*args):
             raise AssertionError("the tableau must be refused before it is built")
 
         monkeypatch.setattr(applications, "_inner_lp", no_lp)
-        P = DiscreteMeasure.uniform(np.random.default_rng(29).random((100, 2)))
-        with pytest.raises(BudgetExceededError, match="94670400 simplex tableau entries"):
+        P = DiscreteMeasure.uniform(np.random.default_rng(29).random((200, 2)))
+        with pytest.raises(BudgetExceededError, match="4176350 simplex tableau entries"):
             forward_selection(P, 5, exact_inner=True)
         path = tmp_path / "measure.txt"
         write_measure(str(path), P)
@@ -347,6 +355,18 @@ class TestSelection:
                                  "--exact-inner"])
         assert code == 3
         assert "exceeding the budget of 2000000" in rep.records[-1]["error"]
+
+    def test_exact_inner_lp_admits_dual_tableau(self):
+        # 40 atoms in d = 2: 385 closed boxes give a dual tableau of 34146
+        # entries; a tableau with two rows per box, (2B+2)(N+2B+2), would
+        # be refused at the default budget
+        P = DiscreteMeasure.uniform(np.random.default_rng(29).random((40, 2)))
+        res = forward_selection(P, 3, exact_inner=True)
+        _, want = oracles.inner_optimum_highs(P.atoms, P.probabilities, res.support_idx)
+        assert abs(res.distance - want) <= 1e-9
+        # a full support reaches distance zero, and +0.0 rather than -0.0
+        full = forward_selection(DiscreteMeasure.uniform(P.atoms[:6]), 6, exact_inner=True)
+        assert full.distance == 0.0 and not np.signbit(full.distance)
 
     def test_trace_nonincreasing_observed(self):
         # empirical property of the greedy trace on this seeded family; the

@@ -16,6 +16,11 @@ The ``dem`` section pins the value, kind and witness of the decomposition
 zero among them, zero-heavy coordinates, duplicate points), so a rewrite of
 the decomposition must keep which of several tied corners it reports; a
 deliberate change of that tie-break re-pins this section only.
+The exact-inner records of the ``reduce`` section were re-pinned once, on
+purpose, when the inner LP became the dual program over P's closed critical
+boxes: no support moved, q moved where the optimum is degenerate and the
+distances by LP rounding, and every re-pinned q is optimal within 1e-9 by
+``oracles.inner_optimum_highs``.  No other record changed.
 """
 
 import json

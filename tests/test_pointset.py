@@ -117,14 +117,22 @@ class TestClassifyCritical:
         assert classify_critical([1.0, 1.0], X)[0]  # vacuous
         assert not classify_critical([0.5, 0.5], X)[0]
 
-    @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 10 ** 6))
-    @settings(max_examples=40, deadline=None)
-    def test_agrees_with_epsilon_definition(self, n, d, seed):
+    @given(st.integers(1, 6), st.integers(1, 3),
+           st.sampled_from(["uniform", "tied", "zeros"]), st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_epsilon_definition(self, n, d, kind, seed):
+        # tied levels with 0 among them, and 40 % zero coordinates; corners
+        # on the augmented grid and off it: 0 and one uniform value per axis
         import itertools
         rng = np.random.default_rng(seed)
-        X = PointSet(rng.random((n, d)))
-        gv = grid_view(X)
-        for y in itertools.product(*gv.aug_values):
+        pts = rng.random((n, d))
+        if kind == "tied":
+            pts = rng.choice(np.array([0.0, 0.25, 0.5, 0.75]), size=(n, d))
+        elif kind == "zeros":
+            pts[rng.random((n, d)) < 0.4] = 0.0
+        X = PointSet(pts)
+        axes = [sorted({0.0, float(rng.random()), *a}) for a in grid_view(X).aug_values]
+        for y in itertools.product(*axes):
             got = classify_critical(np.array(y), X)
             want = oracles.critical_by_definition(X.points, y)
             assert got == want
