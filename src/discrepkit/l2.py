@@ -13,10 +13,11 @@ a ``_sq`` suffix; thin square-root wrappers are provided.
 The quadratic double sum is also computable in O(n log^(d-1) n) for fixed d
 by the divide-and-conquer scheme of Heinrich (1996) with the one-dimensional
 base case of Frank and Heinrich (1996); see :func:`heinrich_D` and
-:func:`star_l2_sq_fast`.  The direct formulas and the leaves of that
-recursion share one pair kernel, :func:`_pair_blocks`, which forms the
-products over row blocks in two buffers allocated once per call.  The three
-terms of Warnock-type formulas are much larger than their sum, so sums
+:func:`star_l2_sq_fast`.  A double sum of a point set with itself is formed
+with each unordered pair once: in the direct formulas and the recursion's
+leaves by one pair kernel, :func:`_pair_sum`, over row bands in two buffers
+allocated once per call, and at the recursion's root by :func:`_D_sym`.  The
+three terms of Warnock-type formulas are much larger than their sum, so sums
 accumulate in extended precision (``_ACC``) and the terms are combined
 before the final rounding to double.  This is the package's one summation
 policy: Warnock's own remedy, subtracting each summand's expected value, is
@@ -54,34 +55,44 @@ _LEAF = 4096  # Heinrich subproblems with at most this many pairs are summed dir
 _ACC = np.longdouble  # extended-precision accumulator for the big reductions
 
 
-def _pair_blocks(U: np.ndarray, V: np.ndarray, g=None):
-    """Yield ``(s, M)`` for each row block of U, where M[i, l] is the product
-    over k of f_k(min(U[s + i, k], V[l, k])), f_k the identity or 1 + g[k] * x,
-    taken left to right.  M is a view that the next block overwrites."""
-    n, m = U.shape[0], V.shape[0]
-    step = max(1, _BLOCK_ELEMS // max(m, 1))
-    buf = np.empty((min(step, n), m))
-    fac = np.empty_like(buf)
+def _products(M, F, A, B, g=None):
+    """Fill M with M[i, l] = the product over k of f_k(min(A[i, k], B[l, k])),
+    f_k the identity or 1 + g[k] * x, taken left to right; F is scratch."""
+    for k in range(A.shape[1]):
+        T = F if k else M
+        np.minimum(A[:, None, k], B[None, :, k], out=T)
+        if g is not None:
+            T *= g[k]
+            T += 1.0
+        if k:
+            M *= F
+    return M
+
+
+def _pair_sum(U: np.ndarray, g=None, v=None):
+    """Sum over all pairs (i, l) of v_i v_l times the pair kernel of U with
+    itself, each unordered pair once: row band [s, e) adds its diagonal block
+    U[s:e] x U[s:e] once and its block U[s:e] x U[e:] twice, both contiguous
+    reshapes of the two buffers.  Block sums are accumulated in ``_ACC``."""
+    n = U.shape[0]
+    step = max(1, _BLOCK_ELEMS // max(n, 1))
+    buf, fac = np.empty(min(step, n) * n), np.empty(min(step, n) * n)
+    total = err = _ACC(0.0)
     for s in range(0, n, step):
-        blk = U[s : s + step]
-        M, F = buf[: blk.shape[0]], fac[: blk.shape[0]]
-        for k in range(U.shape[1]):
-            T = F if k else M
-            np.minimum(blk[:, None, k], V[None, :, k], out=T)
-            if g is not None:
-                T *= g[k]
-                T += 1.0
-            if k:
-                M *= F
-        yield s, M
-
-
-def _pair_sum(U: np.ndarray, V: np.ndarray, g=None):
-    """Sum of all entries of the pair kernel, accumulated in ``_ACC``."""
-    total = _ACC(0.0)
-    for _, M in _pair_blocks(U, V, g):
-        total += np.sum(M, dtype=_ACC)
-    return total
+        e = min(s + step, n)
+        for lo, hi in ((s, e), (e, n)) if e < n else ((s, e),):
+            size = (e - s) * (hi - lo)
+            M = _products(buf[:size].reshape(e - s, hi - lo),
+                          fac[:size].reshape(e - s, hi - lo), U[s:e], U[lo:hi], g)
+            if v is not None:
+                M *= v[s:e, None]
+                M *= v[lo:hi]
+            x = np.sum(M, dtype=_ACC) * (2 if lo == e else 1)
+            t = total + x
+            if total:  # Neumaier: err keeps what each addition rounds off
+                err += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+    return total + err
 
 
 def _warnock(X: PointSet) -> float:
@@ -90,7 +101,7 @@ def _warnock(X: PointSet) -> float:
     one_minus = 1.0 - pts
 
     t2 = np.sum(np.prod(1.0 - pts * pts, axis=1), dtype=_ACC)
-    t3 = _pair_sum(one_minus, one_minus)
+    t3 = _pair_sum(one_minus)
     return float(_ACC(3.0) ** -d - _ACC(2.0) ** (1 - d) / n * t2 + t3 / (_ACC(n) * n))
 
 
@@ -123,7 +134,7 @@ def extreme_l2_sq(X: PointSet) -> float:
 
     t2 = np.sum(np.prod(1.0 - pts ** 3 - one_minus ** 3, axis=1), dtype=_ACC)
     Z = np.stack([pts, one_minus], axis=2).reshape(n, 2 * d)  # x_0, 1-x_0, x_1, ...
-    t3 = _pair_sum(Z, Z)
+    t3 = _pair_sum(Z)
     return float(_ACC(12.0) ** -d - _ACC(2.0) / (_ACC(6.0) ** d * n) * t2
                  + t3 / (_ACC(n) * n))
 
@@ -154,7 +165,7 @@ def weighted_star_l2_sq(X: PointSet, gamma) -> float:
 
     t1 = np.prod(1.0 + np.asarray(g2, dtype=_ACC) / 3)
     t2 = np.sum(np.prod(1.0 + g2 * (1.0 - pts * pts) / 2.0, axis=1), dtype=_ACC)
-    t3 = _pair_sum(one_minus, one_minus, g2)
+    t3 = _pair_sum(one_minus, g2)
     return float(t1 - _ACC(2.0) / n * t2 + t3 / (_ACC(n) * n))
 
 
@@ -200,12 +211,11 @@ class HeinrichArray:
 
 
 def _D_direct(v, Y, w, Z, d: int):
-    total = _ACC(0.0)
-    for s, M in _pair_blocks(Y[:, :d], Z[:, :d]):
-        M *= v[s : s + M.shape[0], None]
-        M *= w
-        total += np.sum(M, dtype=_ACC)
-    return total
+    shape = (v.shape[0], w.shape[0])
+    M = _products(np.empty(shape), np.empty(shape), Y[:, :d], Z[:, :d])
+    M *= v[:, None]
+    M *= w
+    return np.sum(M, dtype=_ACC)
 
 
 def _D_rec(v, Y, w, Z, d: int):
@@ -244,6 +254,27 @@ def _D_rec(v, Y, w, Z, d: int):
     return total
 
 
+def _D_sym(v, Y, d: int):
+    """D(A, A, d) for A = (v, Y), each unordered pair once: split by value at
+    the rank median mu, recurse on both sides and add twice their cross term,
+    in which the lower side's d-th coordinate is the minimum."""
+    n = v.shape[0]
+    if d <= 1 or n <= 1:
+        return _D_rec(v, Y, v, Y, d)
+    if n * n <= _LEAF:
+        return _pair_sum(Y[:, :d], v=v)
+    keys = Y[:, d - 1]
+    mu = np.partition(keys, n // 2 - 1)[n // 2 - 1]
+    left = keys <= mu
+    if left.all():
+        left = keys < mu
+        if not left.any():  # every key is mu
+            return mu * _D_sym(v, Y, d - 1)
+    L, R = np.flatnonzero(left), np.flatnonzero(~left)
+    cross = _D_rec(v[L] * Y[L, d - 1], Y[L, : d - 1], v[R], Y[R, : d - 1], d - 1)
+    return _D_sym(v[L], Y[L], d) + _D_sym(v[R], Y[R], d) + 2 * cross
+
+
 def heinrich_D(A: HeinrichArray, B: HeinrichArray, d: int) -> float:
     """D(A, B, d) = sum_i sum_j v_i w_j prod_{k<=d} min(y_ik, z_jk).
 
@@ -254,7 +285,8 @@ def heinrich_D(A: HeinrichArray, B: HeinrichArray, d: int) -> float:
     (0), d = 0 (product of weight sums, the empty product being 1), a
     singleton A (direct sum), and d = 1, evaluated by sorting B and prefix
     sums.  Subproblems with at most ``_LEAF`` weight pairs are summed by the
-    pair kernel; this changes constants only.
+    pair kernel; this changes constants only.  Every pair (i, j) is formed;
+    :func:`star_l2_sq_fast` pairs one array with itself, each pair once.
     """
     if d < 0:
         raise ValueError("dimension must be >= 0")
@@ -268,17 +300,15 @@ def heinrich_D(A: HeinrichArray, B: HeinrichArray, d: int) -> float:
 def star_l2_sq_fast(Q: WeightedPointSet) -> float:
     """Squared L2 star discrepancy of a signed quadrature measure.
 
-    Evaluates the Warnock-type expansion for general weights with the double
-    sum delegated to the recursion of :func:`heinrich_D` on the reflected
-    points 1 - x.  With equal weights 1/n this is the squared L2 star
-    discrepancy of the support.
+    Evaluates the Warnock-type expansion for general weights.  Its double sum
+    pairs the reflected points 1 - x with themselves; the recursion of
+    :func:`heinrich_D` forms it with each unordered pair once.  With equal
+    weights 1/n this is the squared L2 star discrepancy of the support.
     """
-    n, d = Q.n, Q.d
-    v = Q.weights
+    d, v = Q.d, Q.weights
     one_minus = 1.0 - Q.points
-
     t2 = np.sum(v * np.prod(1.0 - Q.points ** 2, axis=1), dtype=_ACC)
-    t3 = _D_rec(v, one_minus, v, one_minus, d)
+    t3 = _D_sym(v, one_minus, d)
     return float(_ACC(3.0) ** -d - _ACC(2.0) ** (1 - d) * t2 + t3)
 
 

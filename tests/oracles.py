@@ -207,6 +207,39 @@ def warnock_star_l2_sq_longdouble(pts, block=64):
             + pair / (np.longdouble(n) * n))
 
 
+def exact_pair_sum(U, g=None, block=256):
+    """Exact value, as a Fraction, of sum over all ordered pairs (i, l) of
+    prod_k f_k(min(U_ik, U_lk)), f_k the identity or 1 + g_k x.  Each product
+    is rounded in double as it is formed, left to right over k; the sum is
+    not rounded: np.frexp splits every product into a 53-bit integer
+    mantissa and a power of two, and the mantissas are added per power of
+    two, in two exact float halves of at most 27 bits and then as Python
+    integers."""
+    U = np.asarray(U, dtype=np.float64)
+    n, d = U.shape
+    by_exp = {}
+    for s in range(0, n, block):
+        prod = None
+        for k in range(d):
+            f = np.minimum(U[s:s + block, None, k], U[None, :, k])
+            if g is not None:
+                f = f * g[k] + 1.0
+            prod = f if prod is None else prod * f
+        m, e = np.frexp(prod.reshape(-1))
+        mant = (m * 2.0 ** 53).astype(np.int64)
+        idx = e - e.min()
+        hi = np.bincount(idx, weights=(mant >> 27).astype(np.float64))
+        lo = np.bincount(idx, weights=(mant & ((1 << 27) - 1)).astype(np.float64))
+        for j in np.flatnonzero((hi != 0) | (lo != 0)):
+            ex = int(j) + int(e.min())
+            by_exp[ex] = by_exp.get(ex, 0) + (int(hi[j]) << 27) + int(lo[j])
+    if not by_exp:
+        return Fraction(0)
+    low = min(by_exp)
+    total = sum(v << (ex - low) for ex, v in by_exp.items())
+    return Fraction(total) * Fraction(2) ** (low - 53)
+
+
 def lp_pow_fraction(pts, gamma, p):
     """p-th power of the product-weighted L_p star discrepancy for even p by
     the Leobacher-Pillichshammer expansion in exact rationals:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,9 +157,42 @@ class TestWeightedL2:
             weighted_star_l2_sq(X, np.ones(3)), rel=1e-13)
 
 
+def _as_fraction(x):
+    """Exact value of an ``np.longdouble`` (or double) as a Fraction."""
+    m, e = np.frexp(np.longdouble(x))
+    return Fraction(int(m * np.longdouble(2) ** 64)) * Fraction(2) ** (int(e) - 64)
+
+
+def _acc_ulps(U, g=None):
+    """Distance of ``l2._pair_sum(U, g)`` from the exact sum of the same
+    double products, in units in the last place of ``l2._ACC``."""
+    got = l2._pair_sum(U, g)
+    return abs(_as_fraction(got) - oracles.exact_pair_sum(U, g)) / _as_fraction(np.spacing(got))
+
+
+def _operands(X, d):
+    """The pair-sum operands of Warnock, extreme, weighted and modified."""
+    Z = np.stack([X, 1.0 - X], axis=2).reshape(X.shape[0], 2 * d)
+    return [(1.0 - X, None), (Z, None), (1.0 - X, (0.8 ** np.arange(d)) ** 2),
+            (1.0 - X, np.ones(d))]
+
+
+def _kinds(rng, n, d):
+    """Uniform points, four tied levels with zero among them, 30 % zero
+    coordinates, and duplicated points."""
+    zeros = rng.random((n, d))
+    zeros[rng.random((n, d)) < 0.3] = 0.0
+    half = rng.random(((n + 1) // 2, d))
+    return [rng.random((n, d)), rng.choice([0.0, 0.25, 0.5, 0.75], size=(n, d)), zeros,
+            np.vstack([half, half[::-1]])[:n]]
+
+
 class TestPairBlocks:
     """Small blocks make sets of up to 300 points span 2 to 37 blocks, most
-    with a ragged last block; every direct formula keeps its one-block value."""
+    with a ragged last block; every direct formula keeps its one-block value.
+    The symmetric kernel sums the diagonal block of each row band once and the
+    block right of it twice, so it must also equal the exact sum over all
+    ordered pairs of the same double products to the last bits of ``_ACC``."""
 
     FORMULAS = (warnock_star_l2_sq, warnock_star_l2_sq_stable, extreme_l2_sq,
                 lambda X: weighted_star_l2_sq(X, 0.8 ** np.arange(X.d)),
@@ -173,6 +208,35 @@ class TestPairBlocks:
         blocked = [f(X) for f in self.FORMULAS]
         for a, b in zip(blocked, whole):
             assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+
+    # band edges: n = step - 1 and step (one band), step + 1 and 3 step + 1
+    # (a last band of one row), for step = 8 and 64
+    BANDS = [(7, 8), (8, 8), (9, 8), (25, 8), (63, 64), (64, 64), (65, 64), (193, 64)]
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_band_edges_within_two_ulps(self, monkeypatch, d):
+        # 8 dimensions x 8 band shapes x 4 kinds: 256 sets, 1,024 sums
+        rng = np.random.default_rng(4800 + d)
+        for n, step in self.BANDS:
+            monkeypatch.setattr(l2, "_BLOCK_ELEMS", n * step)
+            for X in _kinds(rng, n, d):
+                for U, g in _operands(X, d):
+                    assert _acc_ulps(U, g) <= 2
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_halton_4096_within_two_ulps(self, d):
+        # 16 row bands at the default block size
+        X = halton(4096, d).points
+        for U, g in _operands(X, d):
+            assert _acc_ulps(U, g) <= 2
+
+    def test_weights_weigh_each_ordered_pair(self, monkeypatch):
+        rng = np.random.default_rng(4810)
+        Y, v = rng.random((30, 3)), rng.normal(size=30)
+        monkeypatch.setattr(l2, "_BLOCK_ELEMS", 30 * 7)  # five bands, the last of two rows
+        got = l2._pair_sum(Y, v=v)
+        want = oracles.direct_heinrich(v, Y, v, Y, 3)
+        assert float(got) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestHeinrichD:
@@ -255,5 +319,34 @@ class TestFastStarL2:
         one_minus = 1.0 - pts
         t2 = float(np.sum(w * np.prod(1.0 - pts ** 2, axis=1)))
         t3 = oracles.direct_heinrich(w, one_minus, w, one_minus, d)
+        want = 3.0 ** (-d) - 2.0 ** (1 - d) * t2 + t3
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("kind", ["constant", "upper-tied", "duplicates", "signed"])
+    def test_symmetric_recursion_tie_branches(self, monkeypatch, d, kind):
+        # a leaf of one pair sends every split through the symmetric
+        # recursion: a key column equal to its median everywhere, a median
+        # equal to the largest key, and duplicated points with zero
+        # coordinates reach its tie branches
+        rng = np.random.default_rng(4820 + d)
+        n = 24
+        pts, w = rng.random((n, d)), np.full(n, 1.0 / n)
+        if kind == "constant":
+            pts[:, d - 1] = 0.5
+            pts[:, 0] = 0.25
+        elif kind == "upper-tied":
+            pts[n // 2 - 1:] = pts.max(axis=0)
+        elif kind == "duplicates":
+            half = rng.random((n // 2, d))
+            half[rng.random((n // 2, d)) < 0.3] = 0.0
+            pts = np.vstack([half, half[::-1]])
+        else:
+            w = rng.normal(size=n)
+            w -= w.mean()
+        monkeypatch.setattr(l2, "_LEAF", 1)
+        got = star_l2_sq_fast(WeightedPointSet(w, pts))
+        t2 = float(np.sum(w * np.prod(1.0 - pts ** 2, axis=1)))
+        t3 = oracles.direct_heinrich(w, 1.0 - pts, w, 1.0 - pts, d)
         want = 3.0 ** (-d) - 2.0 ** (1 - d) * t2 + t3
         assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
