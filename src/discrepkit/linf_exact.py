@@ -7,9 +7,9 @@ closed-box one over the plain grid (Niederreiter 1972).  Everything in this
 module is a strategy for searching those grids:
 
 * :func:`star_1d` -- Niederreiter's sorted-order formula in dimension one.
-* :func:`star_grid_enum` -- full enumeration of the induced grids by a
-  d-dimensional cumulative count tensor.  Also handles signed weights and a
-  continuous marginal distribution function in place of Lebesgue volume.
+* :func:`star_grid_enum` -- full enumeration of the induced grids by prefix
+  sums over chunks of rows, so memory is one chunk.  Also handles signed
+  weights and a continuous marginal distribution function for the volume.
 * :func:`star_2d`, :func:`star_3d` -- grid enumeration, which outran the
   O(n^2) and O(n^3) sweeps of De Clerck and Bundschuh-Zhu at every size tried.
 * :func:`star_dem` -- the decomposition scheme of Dobkin, Eppstein and
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pointset import (BudgetExceededError, PointSet, WeightedPointSet, _count_closed,
-                       _count_open, _count_tensor, _grid_axes, volume)
+                       _count_open, _grid_axes, _grid_cells, _prefix_sums, volume)
 
 __all__ = [
     "MarginalCDF",
@@ -175,37 +175,50 @@ def star_1d(X: PointSet) -> StarResult:
 
 
 # ---------------------------------------------------------------------------
-# grid enumeration via cumulative count tensors
+# grid enumeration via streamed prefix sums
 # ---------------------------------------------------------------------------
 
-def _grid_side_max(mu_axes: list[np.ndarray], counts: np.ndarray, sign: int,
-                   n: float) -> tuple[float, tuple]:
-    """Max over the corner grid of sign*(mu - count/n), streamed along axis 0.
+# Corners per chunk of rows (never less than one row) in which the grid is
+# counted and searched, so memory is one chunk whatever the grid's size.
+_CHUNK = 1 << 15
+
+
+def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.ndarray,
+                   w: np.ndarray | None, side: str, n: float) -> tuple[float, tuple]:
+    """(max, index) over the corner grid ``axes`` of the open (mu - weight) or
+    closed (weight - mu) local discrepancy, weights ``w`` (unit counts with
+    None) over ``n``.  Streamed along axis 0 in chunks of rows: each chunk
+    gets its own points and continues the prefix sums of the last one.
     mu is the product of per-axis factors, taken left to right as
     :func:`local_values` takes it, so the maximum is bitwise the best value
-    any corner recomputes to.  Returns (best, index)."""
-    if len(mu_axes) == 1:
-        vals = sign * (mu_axes[0] - counts / n)
-        t = int(np.argmax(vals))
-        return float(vals[t]), (t,)
-    best = -np.inf
-    best_idx: tuple = ()
-    for t0 in range(len(mu_axes[0])):
-        mu = mu_axes[0][t0] * mu_axes[1]
-        for m in mu_axes[2:]:
+    any corner recomputes to, and ties go to the first corner in grid order."""
+    shape = tuple(len(a) for a in axes)
+    row = math.prod(shape[1:])
+    keep, cells = _grid_cells(axes, pts, side)
+    order = np.argsort(cells, kind="stable")
+    cells, w = cells[order], None if w is None else w[keep][order]
+    carry = np.zeros(shape[1:], dtype=np.int32 if w is None else np.float64)
+    best, best_flat, step = -np.inf, 0, max(1, _CHUNK // row)
+    for r0 in range(0, shape[0], step):
+        r1 = min(r0 + step, shape[0])
+        lo, hi = np.searchsorted(cells, (r0 * row, r1 * row))
+        H = _prefix_sums((r1 - r0,) + shape[1:], cells[lo:hi] - r0 * row,
+                         None if w is None else w[lo:hi], carry)
+        mu = mu_axes[0][r0:r1]
+        for m in mu_axes[1:]:
             mu = np.multiply.outer(mu, m)
-        slab = sign * (mu - counts[t0] / n)
-        pos = int(np.argmax(slab))
-        val = float(slab.reshape(-1)[pos])
-        if val > best:
-            best = val
-            best_idx = (t0,) + np.unravel_index(pos, slab.shape)
-    return best, best_idx
+        c = np.divide(H, n)
+        vals = np.subtract(mu, c, out=c) if side == "open" else np.subtract(c, mu, out=c)
+        pos = int(np.argmax(vals))
+        if vals.flat[pos] > best:
+            best, best_flat = float(vals.flat[pos]), pos + r0 * row
+    return best, np.unravel_index(best_flat, shape)
 
 
 def star_grid_enum(nu, G: MarginalCDF | None = None,
                    budget: int = 20_000_000) -> StarResult:
-    """Star discrepancy by full enumeration of the induced grids.
+    """Star discrepancy by full enumeration of the induced grids, counted and
+    searched in chunks of rows, so memory is one chunk however large the grid.
 
     Valid for signed weights and for a continuous product distribution
     function in place of Lebesgue measure: the measure of the point part is
@@ -230,16 +243,14 @@ def star_grid_enum(nu, G: MarginalCDF | None = None,
 def _grid_star(nu, open_axes: list[np.ndarray], closed_axes: list[np.ndarray],
                G: MarginalCDF | None = None) -> StarResult:
     """Best open-box corner on ``open_axes`` and best closed-box corner on
-    ``closed_axes``; the better of the two, recomputed at its corner.  The
-    open count tensor is released before the closed one is built."""
+    ``closed_axes``; the better of the two, recomputed at its corner.  Each
+    side is searched in chunks of rows, so memory is one chunk of the grid."""
     pts, w, is_plain = _coerce(nu)
     wts, n = (None, pts.shape[0]) if is_plain else (w, 1.0)
     best, corner = [], []
-    for axes, side, sign in ((open_axes, "open", +1), (closed_axes, "closed", -1)):
+    for axes, side in ((open_axes, "open"), (closed_axes, "closed")):
         mu = axes if G is None else [G.marginal(j, a) for j, a in enumerate(axes)]
-        counts = _count_tensor(axes, pts, wts, side)
-        val, idx = _grid_side_max(mu, counts, sign, n)
-        del counts
+        val, idx = _grid_side_max(axes, mu, pts, wts, side, n)
         best.append(val)
         corner.append(np.array([a[i] for a, i in zip(axes, idx)]))
     if best[0] >= best[1]:

@@ -286,13 +286,32 @@ def _grid_cells(axes: list[np.ndarray], pts: np.ndarray,
     return keep, np.ravel_multi_index(tuple(idx[keep].T), shape)
 
 
-def _prefix_sums(shape: tuple, cells: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+# Entries per slice from which a prefix along an axis runs as one add per
+# slice, 2-5 times faster than np.cumsum; thinner slices cost a call each.
+_SLICED = 1024
+
+
+def _prefix_sums(shape: tuple, cells: np.ndarray, w: np.ndarray | None,
+                 carry: np.ndarray | None = None) -> np.ndarray:
     """Deposit ``w[i]`` (a unit count with ``w`` None) at flat cell
-    ``cells[i]``, in order, then take prefix sums along every axis."""
+    ``cells[i]``, in order, then take prefix sums along every axis in turn.
+    A ``carry`` of shape ``shape[1:]`` continues axis 0 from an earlier chunk
+    of rows and is overwritten with this chunk's last row after axis 0.  Each
+    entry adds the operands of one np.cumsum per axis in its order: bitwise.
+    """
     H = np.zeros(shape, dtype=np.int32 if w is None else np.float64)
     np.add.at(H.reshape(-1), cells, np.int32(1) if w is None else w)
+    if carry is not None:
+        H[0] += carry
     for ax in range(len(shape)):
-        np.cumsum(H, axis=ax, out=H)
+        if H.size < _SLICED * shape[ax]:
+            np.cumsum(H, axis=ax, out=H)
+        else:
+            V = np.moveaxis(H, ax, 0)
+            for i in range(1, shape[ax]):
+                np.add(V[i - 1, ...], V[i, ...], out=V[i, ...])
+        if ax == 0 and carry is not None:
+            carry[...] = H[-1]
     return H
 
 

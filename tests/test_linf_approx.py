@@ -9,7 +9,7 @@ from conftest import random_pointset, random_pointset_with_ties
 from discrepkit import (BudgetExceededError, PointSet, TAConfig,
                         build_delta_cover, cover_bounds, ga_lower_bound,
                         halton, local_discrepancy, midpoint_set, star_2d,
-                        star_exact, ta_basic, ta_improved)
+                        star_exact, star_grid_enum, ta_basic, ta_improved)
 from discrepkit.pointset import _Workspace
 
 
@@ -163,6 +163,20 @@ class TestLargeSets:
         res = ta_improved(X, TAConfig(300, seed=3))
         check_lower_is_achieved(X, res)
         assert res.lower <= cover_bounds(X, 0.05).upper
+
+    def test_grid_search_memory_is_one_chunk(self):
+        # whole count tensors took 49.2 MiB and 26.7 MiB here
+        rng = np.random.default_rng(37)
+        X5, X4 = PointSet(rng.random((512, 5))), PointSet(rng.random((48, 4)))
+        for run, limit in ((lambda: cover_bounds(X5, 0.2), 16),
+                           (lambda: star_grid_enum(X4), 8)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit * 2 ** 20
 
 
 class TestGALowerBound:

@@ -9,7 +9,10 @@ from discrepkit import (BudgetExceededError, MarginalCDF, PointSet,
                         WeightedPointSet, dem_cost_estimate, halton,
                         local_discrepancy, midpoint_set, star_1d, star_2d,
                         star_3d, star_dem, star_exact, star_grid_enum)
-from discrepkit.linf_exact import local_values
+from discrepkit import linf_exact, pointset
+from discrepkit.linf_approx import build_delta_cover, cover_bounds
+from discrepkit.linf_exact import _grid_side_max, local_values
+from discrepkit.pointset import _count_tensor, _grid_axes
 
 
 def check_witness(X, res):
@@ -124,6 +127,94 @@ class TestGridEnum:
         check = local_values(X, res.witness, G)
         achieved = check[0] if res.kind == "open" else check[1]
         assert achieved == res.value
+
+
+def full_side_max(axes, mu_axes, pts, w, side, n):
+    """(max, index) of one side's local discrepancy from one whole count
+    tensor: the grid search as it was before it was streamed."""
+    counts = _count_tensor(axes, pts, w, side)
+    mu = mu_axes[0]
+    for m in mu_axes[1:]:
+        mu = np.multiply.outer(mu, m)
+    vals = mu - counts / n if side == "open" else counts / n - mu
+    t = int(np.argmax(vals))
+    return float(vals.flat[t]), np.unravel_index(t, vals.shape)
+
+
+def full_grid_star(nu, open_axes, closed_axes, G=None):
+    """(value, witness, kind) of the better side, recomputed at its corner."""
+    w = getattr(nu, "weights", None)
+    sides = []
+    for axes, side in ((open_axes, "open"), (closed_axes, "closed")):
+        mu = axes if G is None else [G.marginal(j, a) for j, a in enumerate(axes)]
+        val, idx = full_side_max(axes, mu, nu.points, w, side, nu.n if w is None else 1.0)
+        sides.append((val, np.array([a[i] for a, i in zip(axes, idx)]), side))
+    _, y, kind = sides[0] if sides[0][0] >= sides[1][0] else sides[1]
+    op, cl = local_values(nu, y, G)
+    return (op if kind == "open" else cl), y.tolist(), kind
+
+
+def random_marginals(rng, d):
+    tables = []
+    for _ in range(d):
+        knots = np.unique(np.concatenate([[0.0, 1.0], rng.random(int(rng.integers(0, 4)))]))
+        values = np.sort(rng.random(knots.size))
+        values[0], values[-1] = 0.0, 1.0
+        tables.append((knots, values))
+    return MarginalCDF(tables)
+
+
+class TestStreamedGrid:
+    """The grid search in chunks of rows against one whole count tensor per
+    side, with chunks of a few corners so that small sets span many, and
+    with prefix sums by slice adds down to slices of a few entries."""
+
+    @pytest.fixture(autouse=True, params=[(1, 1024), (7, 1), (60, 4)])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(linf_exact, "_CHUNK", request.param[0])
+        monkeypatch.setattr(pointset, "_SLICED", request.param[1])
+
+    def test_plain_sets_match_full_tensor_and_brute(self, rng):
+        for _ in range(40):
+            d = int(rng.integers(1, 6))
+            X = random_pointset_with_ties(rng, int(rng.integers(1, [0, 40, 12, 7, 5, 4][d])), d)
+            plain, aug = _grid_axes(X.points)
+            got = star_grid_enum(X)
+            assert (got.value, got.witness.tolist(), got.kind) == full_grid_star(X, aug, plain)
+            assert got.value == pytest.approx(oracles.brute_star(X.points), abs=1e-13)
+
+    def test_signed_weights_and_marginals_match_full_tensor(self, rng):
+        for t in range(60):
+            d = int(rng.integers(1, 6))
+            n = int(rng.integers(1, [0, 40, 16, 9, 6, 5][d]))
+            pts = random_pointset_with_ties(rng, n, d).points
+            W = WeightedPointSet(rng.normal(size=n), pts)
+            G = random_marginals(rng, d) if t % 2 else None
+            plain, aug = _grid_axes(pts)
+            got = star_grid_enum(W, G)
+            assert (got.value, got.witness.tolist(), got.kind) == full_grid_star(
+                W, aug, plain, G)
+
+    def test_cover_bounds_match_full_tensor(self, rng):
+        for d, delta in ((1, 0.05), (2, 0.2), (3, 0.3), (4, 0.5), (5, 1.0)):
+            X = random_pointset_with_ties(rng, 12, d)
+            got = cover_bounds(X, delta)
+            levels = [build_delta_cover(d, delta).levels] * d
+            assert (got.lower, got.witness.tolist(), got.params["kind"]) == \
+                full_grid_star(X, levels, levels)
+
+    def test_points_at_one_and_outside_every_box(self, rng):
+        # a coordinate at 1 is in no open box of the augmented grid, and the
+        # axes below stop short of some points, which then lie in no box
+        for _ in range(30):
+            d = int(rng.integers(1, 5))
+            pts = np.round(rng.random((9, d)) * 4) / 4
+            axes = [np.unique(np.append(rng.choice(pts[:, j], 3), 1.0))[:3] for j in range(d)]
+            for w, n in ((None, 9), (rng.normal(size=9), 1.0)):
+                for side in ("open", "closed"):
+                    want = full_side_max(axes, axes, pts, w, side, n)
+                    got = _grid_side_max(axes, axes, pts, w, side, n)
+                    assert got[0] == want[0] and tuple(got[1]) == tuple(want[1])
 
 
 class TestMarginalCDF:
