@@ -8,8 +8,8 @@ module is a strategy for searching those grids:
 
 * :func:`star_1d` -- Niederreiter's sorted-order formula in dimension one.
 * :func:`star_grid_enum` -- full enumeration of the induced grids by prefix
-  sums over chunks of rows, so memory is one chunk.  Also handles signed
-  weights and a continuous marginal distribution function for the volume.
+  sums over chunks of whole rows, so memory is one chunk (``_CHUNK``).  Also
+  handles signed weights and a continuous marginal distribution for the volume.
 * :func:`star_2d`, :func:`star_3d` -- grid enumeration, which outran the
   O(n^2) and O(n^3) sweeps of De Clerck and Bundschuh-Zhu at every size tried.
 * :func:`star_dem` -- the decomposition scheme of Dobkin, Eppstein and
@@ -178,8 +178,8 @@ def star_1d(X: PointSet) -> StarResult:
 # grid enumeration via streamed prefix sums
 # ---------------------------------------------------------------------------
 
-# Corners per chunk of rows (never less than one row) in which the grid is
-# counted and searched, so memory is one chunk whatever the grid's size.
+# Corners per chunk of whole rows in which the grid is counted and searched;
+# a chunk holds at least 2^15 corners or one row, whichever is larger.
 _CHUNK = 1 << 15
 
 
@@ -218,7 +218,7 @@ def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.nd
 def star_grid_enum(nu, G: MarginalCDF | None = None,
                    budget: int = 20_000_000) -> StarResult:
     """Star discrepancy by full enumeration of the induced grids, counted and
-    searched in chunks of rows, so memory is one chunk however large the grid.
+    searched in chunks of whole rows, so memory is one chunk (``_CHUNK``).
 
     Valid for signed weights and for a continuous product distribution
     function in place of Lebesgue measure: the measure of the point part is
@@ -244,7 +244,7 @@ def _grid_star(nu, open_axes: list[np.ndarray], closed_axes: list[np.ndarray],
                G: MarginalCDF | None = None) -> StarResult:
     """Best open-box corner on ``open_axes`` and best closed-box corner on
     ``closed_axes``; the better of the two, recomputed at its corner.  Each
-    side is searched in chunks of rows, so memory is one chunk of the grid."""
+    side is searched in chunks of whole rows, so memory is one ``_CHUNK``."""
     pts, w, is_plain = _coerce(nu)
     wts, n = (None, pts.shape[0]) if is_plain else (w, 1.0)
     best, corner = [], []

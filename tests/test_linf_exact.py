@@ -12,7 +12,7 @@ from discrepkit import (BudgetExceededError, MarginalCDF, PointSet,
 from discrepkit import linf_exact, pointset
 from discrepkit.linf_approx import build_delta_cover, cover_bounds
 from discrepkit.linf_exact import _grid_side_max, local_values
-from discrepkit.pointset import _count_tensor, _grid_axes
+from discrepkit.pointset import _count_tensor, _grid_axes, _grid_cells
 
 
 def check_witness(X, res):
@@ -129,10 +129,21 @@ class TestGridEnum:
         assert achieved == res.value
 
 
+def cumsum_tensor(axes, pts, w, side):
+    """The whole count tensor by np.cumsum along every axis, independent of
+    the prefix routine under test."""
+    keep, cells = _grid_cells(axes, pts, side)
+    H = np.zeros(tuple(len(a) for a in axes), dtype=np.int32 if w is None else np.float64)
+    np.add.at(H.reshape(-1), cells, np.int32(1) if w is None else w[keep])
+    for ax in range(H.ndim):
+        np.cumsum(H, axis=ax, out=H)
+    return H
+
+
 def full_side_max(axes, mu_axes, pts, w, side, n):
     """(max, index) of one side's local discrepancy from one whole count
     tensor: the grid search as it was before it was streamed."""
-    counts = _count_tensor(axes, pts, w, side)
+    counts = cumsum_tensor(axes, pts, w, side)
     mu = mu_axes[0]
     for m in mu_axes[1:]:
         mu = np.multiply.outer(mu, m)
@@ -215,6 +226,17 @@ class TestStreamedGrid:
                     want = full_side_max(axes, axes, pts, w, side, n)
                     got = _grid_side_max(axes, axes, pts, w, side, n)
                     assert got[0] == want[0] and tuple(got[1]) == tuple(want[1])
+
+    def test_count_tensor_matches_cumsum(self, rng):
+        for _ in range(40):
+            d = int(rng.integers(1, 6))
+            pts = random_pointset_with_ties(rng, 8, d).points
+            plain, aug = _grid_axes(pts)
+            for w in (None, rng.normal(size=8)):
+                for axes, side in ((aug, "open"), (plain, "closed")):
+                    got = _count_tensor(axes, pts, w, side)
+                    want = cumsum_tensor(axes, pts, w, side)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestMarginalCDF:
