@@ -35,7 +35,7 @@ from .generators import PermutationConfig, halton, primes, random_permutation
 from .linf_approx import TAConfig, _best_ta, cover_bounds
 from .linf_exact import exact_method, star_exact
 from .pointset import (BudgetExceededError, _as_points, _critical_corners,
-                       _grid_axes, _grid_cells, _prefix_sums)
+                       _grid_axes, _grid_cells, _grid_rows)
 
 __all__ = [
     "DiscreteMeasure",
@@ -106,12 +106,13 @@ def _closed_grid(pts: np.ndarray, budget: int):
     """(cells, gap) on the plain grid induced by ``pts``, after the distance's
     budget check on the augmented grid: each point's flat closed cell, and
     gap(cells, w), the largest |total weight| over the closed boxes with
-    ``w`` deposited at ``cells`` in order."""
+    ``w`` deposited at ``cells`` in order, streamed in chunks of rows, so
+    memory is one ``pointset._CHUNK``."""
     plain, aug = _grid_axes(pts)
     _check_budget(math.prod(map(len, aug)), "grid corners", budget, "two-measure distance")
     shape = tuple(map(len, plain))
     _, cells = _grid_cells(plain, pts, "closed")
-    return cells, lambda c, w: float(np.max(np.abs(_prefix_sums(shape, c, w))))
+    return cells, lambda c, w: max(float(np.abs(H).max()) for _, H in _grid_rows(shape, c, w))
 
 
 def two_measure_star_disc(P: DiscreteMeasure, Q: DiscreteMeasure,
@@ -125,8 +126,8 @@ def two_measure_star_disc(P: DiscreteMeasure, Q: DiscreteMeasure,
     index t, and an open box with an index 0 on some axis is empty.  The
     open tensor is thus the closed deposit shifted by one cell per axis,
     and since 0.0 + x == x each of its entries is bitwise a closed entry or
-    0.  Only the closed side is enumerated; the budget still counts the
-    augmented grid's corners.
+    0.  Only the closed side is enumerated, in chunks of rows; the budget
+    still counts the augmented grid's corners.
     """
     if P.d != Q.d:
         raise ValueError("measures must share the dimension")
@@ -211,12 +212,8 @@ class ReductionResult:
 
 def _nearest_mass_weights(P: DiscreteMeasure, support_idx: list) -> np.ndarray:
     """Fast heuristic weights: each atom's mass goes to its nearest kept atom."""
-    Y = P.atoms[support_idx]
-    d2 = np.sum((P.atoms[:, None, :] - Y[None, :, :]) ** 2, axis=2)
-    assign = np.argmin(d2, axis=1)
-    q = np.zeros(len(support_idx))
-    np.add.at(q, assign, P.probabilities)
-    return q
+    d2 = ((P.atoms[:, None, :] - P.atoms[support_idx]) ** 2).sum(axis=2)
+    return np.bincount(d2.argmin(axis=1), P.probabilities, minlength=len(support_idx))
 
 
 def _measure_on(P: DiscreteMeasure, support_idx: list, q: np.ndarray) -> DiscreteMeasure:

@@ -8,7 +8,7 @@ module is a strategy for searching those grids:
 
 * :func:`star_1d` -- Niederreiter's sorted-order formula in dimension one.
 * :func:`star_grid_enum` -- full enumeration of the induced grids by prefix
-  sums over chunks of whole rows, so memory is one chunk (``_CHUNK``).  Also
+  sums over chunks of whole rows, so memory is one chunk (``pointset._CHUNK``).  Also
   handles signed weights and a continuous marginal distribution for the volume.
 * :func:`star_2d`, :func:`star_3d` -- grid enumeration, which outran the
   O(n^2) and O(n^3) sweeps of De Clerck and Bundschuh-Zhu at every size tried.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pointset import (BudgetExceededError, PointSet, WeightedPointSet, _count_closed,
-                       _count_open, _grid_axes, _grid_cells, _prefix_sums, volume)
+                       _count_open, _grid_axes, _grid_cells, _grid_rows, volume)
 
 __all__ = [
     "MarginalCDF",
@@ -178,33 +178,20 @@ def star_1d(X: PointSet) -> StarResult:
 # grid enumeration via streamed prefix sums
 # ---------------------------------------------------------------------------
 
-# Corners per chunk of whole rows in which the grid is counted and searched;
-# a chunk holds at least 2^15 corners or one row, whichever is larger.
-_CHUNK = 1 << 15
-
-
 def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.ndarray,
                    w: np.ndarray | None, side: str, n: float) -> tuple[float, tuple]:
     """(max, index) over the corner grid ``axes`` of the open (mu - weight) or
     closed (weight - mu) local discrepancy, weights ``w`` (unit counts with
-    None) over ``n``.  Streamed along axis 0 in chunks of rows: each chunk
-    gets its own points and continues the prefix sums of the last one.
+    None) over ``n``, searched chunk by chunk as :func:`_grid_rows` counts.
     mu is the product of per-axis factors, taken left to right as
     :func:`local_values` takes it, so the maximum is bitwise the best value
     any corner recomputes to, and ties go to the first corner in grid order."""
     shape = tuple(len(a) for a in axes)
     row = math.prod(shape[1:])
     keep, cells = _grid_cells(axes, pts, side)
-    order = np.argsort(cells, kind="stable")
-    cells, w = cells[order], None if w is None else w[keep][order]
-    carry = np.zeros(shape[1:], dtype=np.int32 if w is None else np.float64)
-    best, best_flat, step = -np.inf, 0, max(1, _CHUNK // row)
-    for r0 in range(0, shape[0], step):
-        r1 = min(r0 + step, shape[0])
-        lo, hi = np.searchsorted(cells, (r0 * row, r1 * row))
-        H = _prefix_sums((r1 - r0,) + shape[1:], cells[lo:hi] - r0 * row,
-                         None if w is None else w[lo:hi], carry)
-        mu = mu_axes[0][r0:r1]
+    best, best_flat = -np.inf, 0
+    for r0, H in _grid_rows(shape, cells, None if w is None else w[keep]):
+        mu = mu_axes[0][r0 : r0 + len(H)]
         for m in mu_axes[1:]:
             mu = np.multiply.outer(mu, m)
         c = np.divide(H, n)
@@ -218,7 +205,7 @@ def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.nd
 def star_grid_enum(nu, G: MarginalCDF | None = None,
                    budget: int = 20_000_000) -> StarResult:
     """Star discrepancy by full enumeration of the induced grids, counted and
-    searched in chunks of whole rows, so memory is one chunk (``_CHUNK``).
+    searched in chunks of whole rows, so memory is one chunk (``pointset._CHUNK``).
 
     Valid for signed weights and for a continuous product distribution
     function in place of Lebesgue measure: the measure of the point part is
@@ -244,7 +231,8 @@ def _grid_star(nu, open_axes: list[np.ndarray], closed_axes: list[np.ndarray],
                G: MarginalCDF | None = None) -> StarResult:
     """Best open-box corner on ``open_axes`` and best closed-box corner on
     ``closed_axes``; the better of the two, recomputed at its corner.  Each
-    side is searched in chunks of whole rows, so memory is one ``_CHUNK``."""
+    side is searched in chunks of whole rows, so memory is one
+    ``pointset._CHUNK``."""
     pts, w, is_plain = _coerce(nu)
     wts, n = (None, pts.shape[0]) if is_plain else (w, 1.0)
     best, corner = [], []

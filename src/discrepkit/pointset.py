@@ -256,26 +256,12 @@ class CriticalCorner:
     count: int  # open count for "delta", closed count for "deltabar"
 
 
-def _count_tensor(axes: list[np.ndarray], pts: np.ndarray, w: np.ndarray | None,
-                  side: str | list[str]) -> np.ndarray:
-    """Cumulative weight tensor over the corner grid.
-
-    Entry [t_1..t_d] is the total weight of points in the open box (side
-    "open", strict comparisons) or closed box (side "closed") at the corner
-    (axes[0][t_1], ..., axes[d-1][t_d]); ``side`` may also give one of the
-    two per axis.  With ``w`` None, integer unit counts are accumulated
-    instead (exact and faster).
-    """
-    keep, cells = _grid_cells(axes, pts, side)
-    return _prefix_sums(tuple(len(a) for a in axes), cells,
-                        None if w is None else w[keep])
-
-
 def _grid_cells(axes: list[np.ndarray], pts: np.ndarray,
                 side: str | list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(keep, cells): which points lie in some box of the corner grid, and
     for each of those the flat index of the smallest corner whose box holds
-    it.  ``side`` as for :func:`_count_tensor`."""
+    it.  Boxes are open (side "open", strict comparisons) or closed (side
+    "closed"); ``side`` may also give one of the two per axis."""
     sides = [side] * len(axes) if isinstance(side, str) else side
     shape = tuple(len(a) for a in axes)
     idx = np.empty((pts.shape[0], len(axes)), dtype=np.int64)
@@ -286,33 +272,47 @@ def _grid_cells(axes: list[np.ndarray], pts: np.ndarray,
     return keep, np.ravel_multi_index(tuple(idx[keep].T), shape)
 
 
+# Corners per chunk of whole rows in which every grid is counted; a chunk
+# holds at least 2^15 corners or one row, whichever is larger.
+_CHUNK = 1 << 15
+
 # Entries per slice from which a prefix along an axis runs as one add per
 # slice, 2-5 times faster than np.cumsum; thinner slices cost a call each.
 _SLICED = 1024
 
 
-def _prefix_sums(shape: tuple, cells: np.ndarray, w: np.ndarray | None,
-                 carry: np.ndarray | None = None) -> np.ndarray:
-    """Deposit ``w[i]`` (a unit count with ``w`` None) at flat cell
-    ``cells[i]``, in order, then take prefix sums along every axis in turn.
-    A ``carry`` of shape ``shape[1:]`` continues axis 0 from an earlier chunk
-    of rows and is overwritten with this chunk's last row after axis 0.  Each
-    entry adds the operands of one np.cumsum per axis in its order: bitwise.
+def _grid_rows(shape: tuple, cells: np.ndarray, w: np.ndarray | None):
+    """The cumulative weight tensor over the corner grid ``shape``, in chunks
+    of whole rows: yields (r0, H), H the tensor's rows from r0 on, so memory
+    is one chunk (``_CHUNK``).  ``w[i]`` (a unit count with ``w`` None,
+    summed exactly in int32) is deposited at flat cell ``cells[i]``, in
+    order, and prefix sums run along every axis in turn, axis 0 continuing
+    from the chunk before.  Each entry adds the operands of one np.cumsum
+    per axis of the whole tensor in its order: bitwise.  Every grid count in
+    the package is formed here.
     """
-    H = np.zeros(shape, dtype=np.int32 if w is None else np.float64)
-    np.add.at(H.reshape(-1), cells, np.int32(1) if w is None else w)
-    if carry is not None:
-        H[0] += carry
-    for ax in range(len(shape)):
-        if H.size < _SLICED * shape[ax]:
-            np.cumsum(H, axis=ax, out=H)
-        else:
-            V = np.moveaxis(H, ax, 0)
-            for i in range(1, shape[ax]):
-                np.add(V[i - 1, ...], V[i, ...], out=V[i, ...])
-        if ax == 0 and carry is not None:
-            carry[...] = H[-1]
-    return H
+    row = math.prod(shape[1:])
+    step = max(1, _CHUNK // row)
+    order = cells.argsort(kind="stable")  # each chunk's deposits: a slice
+    cells, w = cells[order], None if w is None else w[order]
+    carry = np.zeros(shape[1:], dtype=np.int32 if w is None else np.float64)
+    for r0 in range(0, shape[0], step):
+        lo, hi = cells.searchsorted([r0 * row, (r0 + step) * row])
+        H = np.zeros((min(step, shape[0] - r0),) + shape[1:], dtype=carry.dtype)
+        np.add.at(H.reshape(-1), cells[lo:hi] - r0 * row,
+                  np.int32(1) if w is None else w[lo:hi])
+        if r0:
+            H[0] += carry
+        for ax in range(H.ndim):
+            if H.size < _SLICED * H.shape[ax]:
+                H.cumsum(axis=ax, out=H)
+            else:
+                V = np.moveaxis(H, ax, 0)
+                for i in range(1, H.shape[ax]):
+                    np.add(V[i - 1, ...], V[i, ...], out=V[i, ...])
+            if ax == 0:
+                carry[...] = H[-1]
+        yield r0, H
 
 
 def _critical_corners(points: np.ndarray, axes: list, side: str,
@@ -330,22 +330,36 @@ def _critical_corners(points: np.ndarray, axes: list, side: str,
     is the componentwise maximum of the points in its box.  This
     single-coordinate rule leaves out the origin corner when no point sits
     there, although it is vacuously deltabar-critical.
+
+    The axes hold every coordinate, so with F_j the count over boxes of the
+    other side on axis j alone, the points at the value in coordinate j and
+    inside elsewhere are exactly those of F_j != count.  All the counts are
+    walked chunk by chunk together.
     """
     d = points.shape[1]
-    mask = np.ones(tuple(len(a) for a in axes), dtype=bool)
-    for j in range(d):
-        # points at the value in coordinate j (the axes hold every
-        # coordinate), inside the box in the others
-        sides = [side] * d
-        sides[j] = "closed"
-        counts = _count_tensor(axes, points, None, sides)
-        at_j = np.diff(counts, axis=j, prepend=0) > 0
-        if side == "open":  # a coordinate at 1 needs no enlargement witness
-            at_j[(slice(None),) * j + (-1,)] = True
-        mask &= at_j
-    idx = np.nonzero(mask)
-    corners = np.stack([axes[j][idx[j]] for j in range(d)], axis=1)
-    return corners, _count_tensor(axes, points, w, side)[idx]
+    shape = tuple(len(a) for a in axes)
+    flip = "closed" if side == "open" else "open"
+
+    def rows(sides, wts=None):
+        keep, cells = _grid_cells(axes, points, sides)
+        return _grid_rows(shape, cells, None if wts is None else wts[keep])
+
+    walks = [rows(side)] + [rows([flip if k == j else side for k in range(d)])
+                            for j in range(d)]
+    walks += [] if w is None else [rows(side, w)]
+    corners, contents = [], []
+    for chunk in zip(*walks):
+        r0, H = chunk[0]
+        vals = [axes[0][r0 : r0 + len(H)]] + list(axes[1:])
+        mask = np.ones(H.shape, dtype=bool)
+        for j, (_, F) in enumerate(chunk[1 : d + 1]):
+            # on the open side a coordinate at 1 needs no enlargement witness
+            at_one = (vals[j] == 1.0) & (side == "open")
+            mask &= (F != H) | at_one.reshape((-1,) + (1,) * (d - 1 - j))
+        idx = np.nonzero(mask)
+        corners.append(np.stack([v[i] for v, i in zip(vals, idx)], axis=1))
+        contents.append((H if w is None else chunk[-1][1])[idx])
+    return np.concatenate(corners), np.concatenate(contents)
 
 
 def enumerate_critical(X: PointSet, k: int | None = None,

@@ -33,16 +33,25 @@ def grid_axes(pts):
     return plain, aug
 
 
-def brute_star(pts):
-    """Exhaustive star discrepancy over the induced grids."""
-    pts = [tuple(map(float, x)) for x in np.atleast_2d(pts)]
-    n = len(pts)
-    plain, aug = grid_axes(pts)
+def brute_star(pts, block=4096):
+    """Exhaustive star discrepancy over the induced grids: every corner's
+    boxes are counted directly, by comparing every point with the corner, a
+    block of corners at a time.  Volumes are products taken left to right
+    from 1.0, as in box_volume."""
+    P = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    n = len(P)
+    plain, aug = grid_axes([tuple(map(float, x)) for x in P])
     best = -np.inf
-    for y in itertools.product(*aug):
-        best = max(best, box_volume(y) - open_count(pts, y) / n)
-    for y in itertools.product(*plain):
-        best = max(best, closed_count(pts, y) / n - box_volume(y))
+    for axes, is_open in ((aug, True), (plain, False)):
+        corners = itertools.product(*axes)
+        while len(Y := np.array(list(itertools.islice(corners, block)))):
+            vol = np.ones(len(Y))
+            for j in range(Y.shape[1]):
+                vol = vol * Y[:, j]
+            inside = P < Y[:, None, :] if is_open else P <= Y[:, None, :]
+            count = np.all(inside, axis=2).sum(axis=1)
+            vals = vol - count / n if is_open else count / n - vol
+            best = max(best, float(np.max(vals)))
     return best
 
 

@@ -11,6 +11,7 @@ from discrepkit import (BudgetExceededError, DiscreteMeasure, PermutationConfig,
                         forward_selection, halton, midpoint_set, modified_l2_sq,
                         optimal_inner_weights, optimize_halton_permutations,
                         quality_report, two_measure_star_disc)
+from discrepkit import pointset
 from discrepkit._simplex import LPError, _pivot, solve_lp
 from discrepkit.cli import run_command, write_measure
 
@@ -221,6 +222,21 @@ class TestInnerWeights:
                     assert np.all(q >= 0.0) and abs(q.sum() - 1.0) <= 1e-12
                     Q = DiscreteMeasure(P.atoms[sel], q)
                     assert abs(two_measure_star_disc(P, Q) - t) <= 1e-9
+
+    def test_supporting_boxes_do_not_depend_on_chunks(self, monkeypatch):
+        # one-row chunks put a chunk boundary between every two rows
+        rng = np.random.default_rng(41)
+        measures = []
+        for d in (1, 2, 3):
+            for _ in range(6):
+                atoms = np.unique(rng.choice([0.0, 0.25, 0.5, 1.0], size=(10, d)), axis=0)
+                measures.append(DiscreteMeasure(atoms, rng.dirichlet(np.ones(len(atoms)))))
+        want = [applications._supporting_boxes(P, 2_000_000) for P in measures]
+        monkeypatch.setattr(pointset, "_CHUNK", 1)
+        for P, (member, mass) in zip(measures, want):
+            got_member, got_mass = applications._supporting_boxes(P, 2_000_000)
+            assert got_member.tobytes() == member.tobytes() and got_member.shape == member.shape
+            assert got_mass.tobytes() == mass.tobytes()
 
 
 def exhaustive_best_subset(P, n):

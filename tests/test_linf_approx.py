@@ -10,7 +10,8 @@ from discrepkit import (BudgetExceededError, PointSet, TAConfig,
                         build_delta_cover, cover_bounds, ga_lower_bound,
                         halton, local_discrepancy, midpoint_set, star_2d,
                         star_exact, star_grid_enum, ta_basic, ta_improved)
-from discrepkit.pointset import _Workspace
+from discrepkit.applications import DiscreteMeasure, two_measure_star_disc
+from discrepkit.pointset import _Workspace, _critical_corners, _grid_axes
 
 
 def check_lower_is_achieved(X, res):
@@ -165,11 +166,16 @@ class TestLargeSets:
         assert res.lower <= cover_bounds(X, 0.05).upper
 
     def test_grid_search_memory_is_one_chunk(self):
-        # whole count tensors took 49.2 MiB and 26.7 MiB here
+        # whole count tensors took 49.2, 26.7, 137.4 and 36.5 MiB here
         rng = np.random.default_rng(37)
         X5, X4 = PointSet(rng.random((512, 5))), PointSet(rng.random((48, 4)))
+        P, Q = (DiscreteMeasure.uniform(rng.random((1500, 2))) for _ in range(2))
+        X3 = np.random.default_rng(120).random((120, 3))
+        plain3 = _grid_axes(X3)[0]
         for run, limit in ((lambda: cover_bounds(X5, 0.2), 16),
-                           (lambda: star_grid_enum(X4), 8)):
+                           (lambda: star_grid_enum(X4), 8),
+                           (lambda: two_measure_star_disc(P, Q), 8),  # 9e6 corners
+                           (lambda: _critical_corners(X3, plain3, "closed"), 8)):
             tracemalloc.start()
             try:
                 run()

@@ -9,10 +9,10 @@ from discrepkit import (BudgetExceededError, MarginalCDF, PointSet,
                         WeightedPointSet, dem_cost_estimate, halton,
                         local_discrepancy, midpoint_set, star_1d, star_2d,
                         star_3d, star_dem, star_exact, star_grid_enum)
-from discrepkit import linf_exact, pointset
+from discrepkit import pointset
 from discrepkit.linf_approx import build_delta_cover, cover_bounds
 from discrepkit.linf_exact import _grid_side_max, local_values
-from discrepkit.pointset import _count_tensor, _grid_axes, _grid_cells
+from discrepkit.pointset import _grid_axes, _grid_cells, _grid_rows
 
 
 def check_witness(X, res):
@@ -182,7 +182,7 @@ class TestStreamedGrid:
 
     @pytest.fixture(autouse=True, params=[(1, 1024), (7, 1), (60, 4)])
     def small_chunks(self, request, monkeypatch):
-        monkeypatch.setattr(linf_exact, "_CHUNK", request.param[0])
+        monkeypatch.setattr(pointset, "_CHUNK", request.param[0])
         monkeypatch.setattr(pointset, "_SLICED", request.param[1])
 
     def test_plain_sets_match_full_tensor_and_brute(self, rng):
@@ -234,7 +234,12 @@ class TestStreamedGrid:
             plain, aug = _grid_axes(pts)
             for w in (None, rng.normal(size=8)):
                 for axes, side in ((aug, "open"), (plain, "closed")):
-                    got = _count_tensor(axes, pts, w, side)
+                    keep, cells = _grid_cells(axes, pts, side)
+                    chunks = list(_grid_rows(tuple(map(len, axes)), cells,
+                                             None if w is None else w[keep]))
+                    assert [r0 for r0, _ in chunks] == \
+                        np.cumsum([0] + [len(H) for _, H in chunks[:-1]]).tolist()
+                    got = np.concatenate([H for _, H in chunks])
                     want = cumsum_tensor(axes, pts, w, side)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 

@@ -9,6 +9,7 @@ from discrepkit import (BudgetExceededError, PointSet, WeightedPointSet,
                         classify_critical, enumerate_critical, grid_view,
                         local_discrepancy, snap_down, snap_up, star_exact,
                         volume)
+from discrepkit import pointset
 from discrepkit.pointset import _BLOCK, _Workspace
 
 
@@ -200,6 +201,17 @@ class TestEnumerateCritical:
         assert ((0.0, 0.0), 0) in closed
         assert closed == [(y, n) for kind, y, n in self.by_definition(X.points)
                           if kind == "deltabar"]
+
+
+class TestEnumerateCriticalInChunks(TestEnumerateCritical):
+    """Every critical-corner test again with chunks of one and of seven
+    corners, so that chunk boundaries fall inside every small grid."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 7])
+    def small_chunks(self, request):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pointset, "_CHUNK", request.param)
+            yield
 
 
 class TestSnapDown:
