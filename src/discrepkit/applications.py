@@ -111,7 +111,7 @@ def _closed_grid(pts: np.ndarray, budget: int):
     plain, aug = _grid_axes(pts)
     _check_budget(math.prod(map(len, aug)), "grid corners", budget, "two-measure distance")
     shape = tuple(map(len, plain))
-    _, cells = _grid_cells(plain, pts, "closed")
+    cells = _grid_cells(plain, pts, "closed")
     return cells, lambda c, w: max(float(np.abs(H).max()) for _, H in _grid_rows(shape, c, w))
 
 
@@ -212,8 +212,12 @@ class ReductionResult:
 
 def _nearest_mass_weights(P: DiscreteMeasure, support_idx: list) -> np.ndarray:
     """Fast heuristic weights: each atom's mass goes to its nearest kept atom."""
-    d2 = ((P.atoms[:, None, :] - P.atoms[support_idx]) ** 2).sum(axis=2)
-    return np.bincount(d2.argmin(axis=1), P.probabilities, minlength=len(support_idx))
+    Y = P.atoms[support_idx]
+    d2 = np.sum((P.atoms[:, None, :] - Y[None, :, :]) ** 2, axis=2)
+    assign = np.argmin(d2, axis=1)
+    q = np.zeros(len(support_idx))
+    np.add.at(q, assign, P.probabilities)
+    return q
 
 
 def _measure_on(P: DiscreteMeasure, support_idx: list, q: np.ndarray) -> DiscreteMeasure:

@@ -188,9 +188,8 @@ def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.nd
     any corner recomputes to, and ties go to the first corner in grid order."""
     shape = tuple(len(a) for a in axes)
     row = math.prod(shape[1:])
-    keep, cells = _grid_cells(axes, pts, side)
     best, best_flat = -np.inf, 0
-    for r0, H in _grid_rows(shape, cells, None if w is None else w[keep]):
+    for r0, H in _grid_rows(shape, _grid_cells(axes, pts, side), w):
         mu = mu_axes[0][r0 : r0 + len(H)]
         for m in mu_axes[1:]:
             mu = np.multiply.outer(mu, m)

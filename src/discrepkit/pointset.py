@@ -257,19 +257,19 @@ class CriticalCorner:
 
 
 def _grid_cells(axes: list[np.ndarray], pts: np.ndarray,
-                side: str | list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, cells): which points lie in some box of the corner grid, and
-    for each of those the flat index of the smallest corner whose box holds
-    it.  Boxes are open (side "open", strict comparisons) or closed (side
-    "closed"); ``side`` may also give one of the two per axis."""
+                side: str | list[str]) -> np.ndarray:
+    """Each point's flat cell in the corner grid: the index of the smallest
+    corner whose box holds it, or -1 if no box does.  Boxes are open (side
+    "open", strict comparisons) or closed (side "closed"); ``side`` may also
+    give one of the two per axis."""
     sides = [side] * len(axes) if isinstance(side, str) else side
     shape = tuple(len(a) for a in axes)
     idx = np.empty((pts.shape[0], len(axes)), dtype=np.int64)
     for j, a in enumerate(axes):
         srt = "right" if sides[j] == "open" else "left"
         idx[:, j] = np.searchsorted(a, pts[:, j], side=srt)
-    keep = np.all(idx < np.array(shape), axis=1)
-    return keep, np.ravel_multi_index(tuple(idx[keep].T), shape)
+    cells = np.ravel_multi_index(tuple(idx.T), shape, mode="clip")
+    return np.where(np.all(idx < np.array(shape), axis=1), cells, -1)
 
 
 # Corners per chunk of whole rows in which every grid is counted; a chunk
@@ -285,15 +285,15 @@ def _grid_rows(shape: tuple, cells: np.ndarray, w: np.ndarray | None):
     """The cumulative weight tensor over the corner grid ``shape``, in chunks
     of whole rows: yields (r0, H), H the tensor's rows from r0 on, so memory
     is one chunk (``_CHUNK``).  ``w[i]`` (a unit count with ``w`` None,
-    summed exactly in int32) is deposited at flat cell ``cells[i]``, in
-    order, and prefix sums run along every axis in turn, axis 0 continuing
-    from the chunk before.  Each entry adds the operands of one np.cumsum
-    per axis of the whole tensor in its order: bitwise.  Every grid count in
-    the package is formed here.
+    summed exactly in int32) is deposited at flat cell ``cells[i]`` unless
+    that is -1, in order, and prefix sums run along every axis in turn, axis
+    0 continuing from the chunk before.  Each entry adds the operands of one
+    np.cumsum per axis of the whole tensor in its order: bitwise.  Every
+    grid count in the package is formed here.
     """
     row = math.prod(shape[1:])
     step = max(1, _CHUNK // row)
-    order = cells.argsort(kind="stable")  # each chunk's deposits: a slice
+    order = cells.argsort(kind="stable")  # -1s first, then each chunk's deposits as a slice
     cells, w = cells[order], None if w is None else w[order]
     carry = np.zeros(shape[1:], dtype=np.int32 if w is None else np.float64)
     for r0 in range(0, shape[0], step):
@@ -339,23 +339,20 @@ def _critical_corners(points: np.ndarray, axes: list, side: str,
     d = points.shape[1]
     shape = tuple(len(a) for a in axes)
     flip = "closed" if side == "open" else "open"
-
-    def rows(sides, wts=None):
-        keep, cells = _grid_cells(axes, points, sides)
-        return _grid_rows(shape, cells, None if wts is None else wts[keep])
-
-    walks = [rows(side)] + [rows([flip if k == j else side for k in range(d)])
-                            for j in range(d)]
-    walks += [] if w is None else [rows(side, w)]
+    sides = [[side] * d] + [[flip if k == j else side for k in range(d)] for j in range(d)]
+    cells = [_grid_cells(axes, points, s) for s in sides]
+    walks = [_grid_rows(shape, c, None) for c in cells]
+    walks += [] if w is None else [_grid_rows(shape, cells[0], w)]
     corners, contents = [], []
     for chunk in zip(*walks):
         r0, H = chunk[0]
         vals = [axes[0][r0 : r0 + len(H)]] + list(axes[1:])
         mask = np.ones(H.shape, dtype=bool)
         for j, (_, F) in enumerate(chunk[1 : d + 1]):
-            # on the open side a coordinate at 1 needs no enlargement witness
-            at_one = (vals[j] == 1.0) & (side == "open")
-            mask &= (F != H) | at_one.reshape((-1,) + (1,) * (d - 1 - j))
+            at_j = F != H
+            if side == "open":  # a coordinate at 1 needs no enlargement witness
+                at_j[(slice(None),) * j + (vals[j] == 1.0,)] = True
+            mask &= at_j
         idx = np.nonzero(mask)
         corners.append(np.stack([v[i] for v, i in zip(vals, idx)], axis=1))
         contents.append((H if w is None else chunk[-1][1])[idx])

@@ -33,18 +33,18 @@ def grid_axes(pts):
     return plain, aug
 
 
-def brute_star(pts, block=4096):
+def brute_star(pts):
     """Exhaustive star discrepancy over the induced grids: every corner's
     boxes are counted directly, by comparing every point with the corner, a
-    block of corners at a time.  Volumes are products taken left to right
-    from 1.0, as in box_volume."""
+    block of 4,096 corners at a time.  Volumes are products taken left to
+    right from 1.0, as in box_volume."""
     P = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     n = len(P)
     plain, aug = grid_axes([tuple(map(float, x)) for x in P])
     best = -np.inf
     for axes, is_open in ((aug, True), (plain, False)):
         corners = itertools.product(*axes)
-        while len(Y := np.array(list(itertools.islice(corners, block)))):
+        while len(Y := np.array(list(itertools.islice(corners, 4096)))):
             vol = np.ones(len(Y))
             for j in range(Y.shape[1]):
                 vol = vol * Y[:, j]

@@ -132,9 +132,10 @@ class TestGridEnum:
 def cumsum_tensor(axes, pts, w, side):
     """The whole count tensor by np.cumsum along every axis, independent of
     the prefix routine under test."""
-    keep, cells = _grid_cells(axes, pts, side)
+    cells = _grid_cells(axes, pts, side)
+    keep = cells >= 0
     H = np.zeros(tuple(len(a) for a in axes), dtype=np.int32 if w is None else np.float64)
-    np.add.at(H.reshape(-1), cells, np.int32(1) if w is None else w[keep])
+    np.add.at(H.reshape(-1), cells[keep], np.int32(1) if w is None else w[keep])
     for ax in range(H.ndim):
         np.cumsum(H, axis=ax, out=H)
     return H
@@ -234,9 +235,8 @@ class TestStreamedGrid:
             plain, aug = _grid_axes(pts)
             for w in (None, rng.normal(size=8)):
                 for axes, side in ((aug, "open"), (plain, "closed")):
-                    keep, cells = _grid_cells(axes, pts, side)
-                    chunks = list(_grid_rows(tuple(map(len, axes)), cells,
-                                             None if w is None else w[keep]))
+                    cells = _grid_cells(axes, pts, side)
+                    chunks = list(_grid_rows(tuple(map(len, axes)), cells, w))
                     assert [r0 for r0, _ in chunks] == \
                         np.cumsum([0] + [len(H) for _, H in chunks[:-1]]).tolist()
                     got = np.concatenate([H for _, H in chunks])

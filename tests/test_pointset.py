@@ -203,15 +203,21 @@ class TestEnumerateCritical:
                           if kind == "deltabar"]
 
 
-class TestEnumerateCriticalInChunks(TestEnumerateCritical):
-    """Every critical-corner test again with chunks of one and of seven
-    corners, so that chunk boundaries fall inside every small grid."""
+class TestEnumerateCriticalInChunks:
+    """The critical-corner tests whose grids span many rows, again with
+    chunks of one and of seven corners, so that chunk boundaries fall
+    inside every small grid."""
 
     @pytest.fixture(autouse=True, scope="class", params=[1, 7])
     def small_chunks(self, request):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pointset, "_CHUNK", request.param)
             yield
+
+    by_definition = staticmethod(TestEnumerateCritical.by_definition)
+    test_matches_definition_with_ties_and_zeros = \
+        TestEnumerateCritical.test_matches_definition_with_ties_and_zeros
+    test_1d_every_grid_value_critical = TestEnumerateCritical.test_1d_every_grid_value_critical
 
 
 class TestSnapDown:
