@@ -14,15 +14,16 @@ The quadratic double sum is also computable in O(n log^(d-1) n) for fixed d
 by the divide-and-conquer scheme of Heinrich (1996) with the one-dimensional
 base case of Frank and Heinrich (1996); see :func:`heinrich_D` and
 :func:`star_l2_sq_fast`.  A double sum of a point set with itself is formed
-with each unordered pair once: in the direct formulas and the recursion's
-leaves by one pair kernel, :func:`_pair_sum`, over row bands in two buffers
-allocated once per call, and at the recursion's root by :func:`_D_sym`.  The
-three terms of Warnock-type formulas are much larger than their sum, so sums
-accumulate in extended precision (``_ACC``) and the terms are combined
-before the final rounding to double.  This is the package's one summation
-policy: Warnock's own remedy, subtracting each summand's expected value, is
-less accurate than it and is not used, and the L_p expansion of
-:mod:`discrepkit.lp` is evaluated in the same precision.
+with each unordered pair once: in the direct formulas by the row bands of
+:func:`_pair_sum`, whose height (``_BLOCK_ELEMS``) fixes only the summation
+order, and at the recursion's root by :func:`_D_sym`.  Every block of pairs,
+the recursion's leaves included, is summed by one kernel, :func:`_block_sum`,
+a few rows at a time.  The three terms of Warnock-type formulas are much
+larger than their sum, so sums accumulate in extended precision (``_ACC``)
+and the terms are combined before the final rounding to double.  This is the
+package's one summation policy: Warnock's own remedy, subtracting each
+summand's expected value, is less accurate than it and is not used, and the
+L_p expansion of :mod:`discrepkit.lp` is evaluated in the same precision.
 """
 
 from __future__ import annotations
@@ -49,45 +50,53 @@ __all__ = [
     "modified_l2",
 ]
 
-# pairwise blocks sized to stay cache-resident; larger blocks thrash
-_BLOCK_ELEMS = 1 << 20
+_BLOCK_ELEMS = 1 << 20  # bands of _BLOCK_ELEMS // n rows: sets only the summation order
 _LEAF = 4096  # Heinrich subproblems with at most this many pairs are summed directly
 _ACC = np.longdouble  # extended-precision accumulator for the big reductions
 
 
-def _products(M, F, A, B, g=None):
-    """Fill M with M[i, l] = the product over k of f_k(min(A[i, k], B[l, k])),
-    f_k the identity or 1 + g[k] * x, taken left to right; F is scratch."""
-    for k in range(A.shape[1]):
-        T = F if k else M
-        np.minimum(A[:, None, k], B[None, :, k], out=T)
-        if g is not None:
-            T *= g[k]
-            T += 1.0
-        if k:
-            M *= F
-    return M
+def _block_sum(A, BT, va=None, vb=None):
+    """Sum in ``_ACC`` over the block A x B of prod_k min(A[i, k], B[l, k]),
+    left to right, times va[i] vb[l] if weights are given; BT is B transposed.
+    Numpy sums a casting reduction as the in-order sum of its buffer-sized
+    pieces, so forming rows into the scratch S, summing each piece once it is
+    complete and carrying the rest to the front is ``np.sum`` bit for bit."""
+    piece, width = np.getbufsize(), BT.shape[1]
+    h = max(1, piece // width)
+    S = np.empty(3 * min(A.shape[0] * width, max(piece, width)))
+    total, c = _ACC(0.0), 0
+    for i in range(0, A.shape[0], h):
+        size = min(h, A.shape[0] - i) * width
+        M = S[c:c + size].reshape(-1, width)
+        F = S[c + size:c + 2 * size].reshape(-1, width)
+        for k in range(BT.shape[0]):
+            np.minimum(A[i:i + h, k, None], BT[k], out=F if k else M)
+            if k:
+                M *= F
+        if va is not None:
+            M *= va[i:i + h, None]
+            M *= vb
+        c += size
+        for p in range(0, c - piece + 1, piece):
+            total += S[p:p + piece].sum(dtype=_ACC)
+        S[:c % piece] = S[c - c % piece:c]
+        c %= piece
+    return total + S[:c].sum(dtype=_ACC)
 
 
-def _pair_sum(U: np.ndarray, g=None, v=None):
+def _pair_sum(U: np.ndarray, v=None):
     """Sum over all pairs (i, l) of v_i v_l times the pair kernel of U with
     itself, each unordered pair once: row band [s, e) adds its diagonal block
-    U[s:e] x U[s:e] once and its block U[s:e] x U[e:] twice, both contiguous
-    reshapes of the two buffers.  Block sums are accumulated in ``_ACC``."""
+    U[s:e] x U[s:e] once and its block U[s:e] x U[e:] twice."""
     n = U.shape[0]
     step = max(1, _BLOCK_ELEMS // max(n, 1))
-    buf, fac = np.empty(min(step, n) * n), np.empty(min(step, n) * n)
+    UT = np.ascontiguousarray(U.T)
     total = err = _ACC(0.0)
     for s in range(0, n, step):
         e = min(s + step, n)
         for lo, hi in ((s, e), (e, n)) if e < n else ((s, e),):
-            size = (e - s) * (hi - lo)
-            M = _products(buf[:size].reshape(e - s, hi - lo),
-                          fac[:size].reshape(e - s, hi - lo), U[s:e], U[lo:hi], g)
-            if v is not None:
-                M *= v[s:e, None]
-                M *= v[lo:hi]
-            x = np.sum(M, dtype=_ACC) * (2 if lo == e else 1)
+            w = () if v is None else (v[s:e], v[lo:hi])
+            x = _block_sum(U[s:e], UT[:, lo:hi], *w) * (2 if lo == e else 1)
             t = total + x
             if total:  # Neumaier: err keeps what each addition rounds off
                 err += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
@@ -155,17 +164,16 @@ def weighted_star_l2_sq(X: PointSet, gamma) -> float:
 
     Expands to sum over nonempty coordinate subsets u of
     (prod_{j in u} gamma_j^2) times the squared L2 star discrepancy of the
-    projection onto u.  The pair factor is 1 + gamma_k^2 * min(1-x, 1-x');
-    the empty subset contributes 1 - 2 + 1 = 0 and cancels.
+    projection onto u.  The pair factor 1 + gamma_k^2 * min(1-x, 1-x') is the
+    minimum of the two points' own factors, as x -> 1 + g x is nondecreasing
+    in double for g >= 0; the empty subset contributes 1 - 2 + 1 = 0.
     """
     n, d = X.n, X.d
     g2 = _check_weights(gamma, d) ** 2
     pts = X.points
-    one_minus = 1.0 - pts
-
     t1 = np.prod(1.0 + np.asarray(g2, dtype=_ACC) / 3)
     t2 = np.sum(np.prod(1.0 + g2 * (1.0 - pts * pts) / 2.0, axis=1), dtype=_ACC)
-    t3 = _pair_sum(one_minus, g2)
+    t3 = _pair_sum((1.0 - pts) * g2 + 1.0)
     return float(t1 - _ACC(2.0) / n * t2 + t3 / (_ACC(n) * n))
 
 
@@ -210,14 +218,6 @@ class HeinrichArray:
         return self.points.shape[1]
 
 
-def _D_direct(v, Y, w, Z, d: int):
-    shape = (v.shape[0], w.shape[0])
-    M = _products(np.empty(shape), np.empty(shape), Y[:, :d], Z[:, :d])
-    M *= v[:, None]
-    M *= w
-    return np.sum(M, dtype=_ACC)
-
-
 def _D_rec(v, Y, w, Z, d: int):
     n, m = v.shape[0], w.shape[0]
     if m == 0 or n == 0:
@@ -225,7 +225,7 @@ def _D_rec(v, Y, w, Z, d: int):
     if d == 0:
         return np.sum(v, dtype=_ACC) * np.sum(w, dtype=_ACC)
     if n == 1:
-        return _D_direct(v, Y, w, Z, d)
+        return _block_sum(Y[:, :d], Z[:, :d].T, v, w)
     if d == 1:
         ya, zb = Y[:, 0], Z[:, 0]
         oz = np.argsort(zb, kind="stable")
@@ -235,7 +235,7 @@ def _D_rec(v, Y, w, Z, d: int):
         nu = np.searchsorted(zs, ya, side="right")  # z_(1..nu) <= y_i < rest
         return np.sum(v * (pref_wz[nu] + ya * suff_w[nu]), dtype=_ACC)
     if n * m <= _LEAF:
-        return _D_direct(v, Y, w, Z, d)
+        return _block_sum(Y[:, :d], Z[:, :d].T, v, w)
 
     # split A at the rank median of its d-th components (stable, index ties)
     keys = Y[:, d - 1]

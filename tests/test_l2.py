@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -164,9 +165,10 @@ def _as_fraction(x):
 
 
 def _acc_ulps(U, g=None):
-    """Distance of ``l2._pair_sum(U, g)`` from the exact sum of the same
-    double products, in units in the last place of ``l2._ACC``."""
-    got = l2._pair_sum(U, g)
+    """Distance of ``l2._pair_sum`` of U, or of its factors U g + 1, from the
+    exact sum of the same double products, in units in the last place of
+    ``l2._ACC``."""
+    got = l2._pair_sum(U if g is None else U * g + 1.0)
     return abs(_as_fraction(got) - oracles.exact_pair_sum(U, g)) / _as_fraction(np.spacing(got))
 
 
@@ -185,6 +187,43 @@ def _kinds(rng, n, d):
     half = rng.random(((n + 1) // 2, d))
     return [rng.random((n, d)), rng.choice([0.0, 0.25, 0.5, 0.75], size=(n, d)), zeros,
             np.vstack([half, half[::-1]])[:n]]
+
+
+def _whole_block_pair_sum(U, v=None, g=None):
+    """``l2._pair_sum`` as it was first written: the same row bands, each
+    block formed whole by broadcasting, per-pair factors 1 + g_k min(...),
+    one ``np.sum`` per block in ``np.longdouble``, Neumaier across blocks."""
+    n, d = U.shape
+    step = max(1, l2._BLOCK_ELEMS // max(n, 1))
+    total = err = np.longdouble(0.0)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        for lo, hi in ((s, e), (e, n)) if e < n else ((s, e),):
+            M = None
+            for k in range(d):
+                T = np.minimum(U[s:e, None, k], U[None, lo:hi, k])
+                if g is not None:
+                    T *= g[k]
+                    T += 1.0
+                M = T if M is None else M * T
+            if v is not None:
+                M = M * v[s:e, None] * v[lo:hi]
+            x = np.sum(M, dtype=np.longdouble) * (2 if lo == e else 1)
+            t = total + x
+            if total:
+                err += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+    return total + err
+
+
+def _weighted_per_pair(X, gamma):
+    """``weighted_star_l2_sq`` with the pair factors formed per pair."""
+    n = X.shape[0]
+    g2 = np.asarray(gamma, dtype=np.float64) ** 2
+    t1 = np.prod(1.0 + np.asarray(g2, dtype=np.longdouble) / 3)
+    t2 = np.sum(np.prod(1.0 + g2 * (1.0 - X * X) / 2.0, axis=1), dtype=np.longdouble)
+    t3 = _whole_block_pair_sum(1.0 - X, g=g2)
+    return float(t1 - np.longdouble(2.0) / n * t2 + t3 / (np.longdouble(n) * n))
 
 
 class TestPairBlocks:
@@ -229,6 +268,61 @@ class TestPairBlocks:
         X = halton(4096, d).points
         for U, g in _operands(X, d):
             assert _acc_ulps(U, g) <= 2
+
+    # widths 1 to 3,000, most not dividing numpy's 8,192-entry pieces; one
+    # band, many bands, and bands of one row
+    SHAPES = [(1, 1 << 20), (2, 1 << 20), (7, 1 << 20), (100, 1 << 20), (1023, 1 << 20),
+              (3000, 1 << 20), (100, 700), (1023, 50_000), (300, 1)]
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bits_of_whole_block_sums(self, monkeypatch, d):
+        rng = np.random.default_rng(4820 + d)
+        for n, elems in self.SHAPES:
+            monkeypatch.setattr(l2, "_BLOCK_ELEMS", elems)
+            X, v = _kinds(rng, n, d)[n % 4], rng.normal(size=n)
+            ops = [U if g is None else U * g + 1.0 for U, g in _operands(X, d)]
+            for U in ops[:1] if n > 1023 else ops:
+                assert l2._pair_sum(U) == _whole_block_pair_sum(U)
+            assert l2._pair_sum(X, v=v) == _whole_block_pair_sum(X, v)
+
+    def test_bits_follow_numpy_buffer_size(self, monkeypatch):
+        rng = np.random.default_rng(4830)
+        X, v = rng.random((700, 3)), rng.normal(size=700)
+        monkeypatch.setattr(l2, "_BLOCK_ELEMS", 70_000)  # bands of 100 rows
+        old = np.setbufsize(1024)
+        try:
+            got = [l2._pair_sum(X), l2._pair_sum(X, v=v)]
+            want = [_whole_block_pair_sum(X), _whole_block_pair_sum(X, v)]
+        finally:
+            np.setbufsize(old)
+        assert got == want
+
+    @pytest.mark.parametrize("elems", [1 << 20, 3000])
+    def test_weights_folded_per_point(self, monkeypatch, elems):
+        # f(x) = 1 + g x rounded is nondecreasing for g >= 0, so
+        # min(f(x), f(y)) = f(min(x, y)) bit for bit
+        monkeypatch.setattr(l2, "_BLOCK_ELEMS", elems)
+        rng = np.random.default_rng(4840)
+        for d in range(1, 7):
+            gammas = [np.ones(d), 0.8 ** np.arange(d), np.r_[np.ones(d - 1), 0.0]]
+            for n in (1, 5, 64, 300):
+                for X in _kinds(rng, n, d):
+                    assert modified_l2_sq(PointSet(X)) == _weighted_per_pair(X, np.ones(d))
+                    for g in gammas:
+                        assert weighted_star_l2_sq(PointSet(X), g) == _weighted_per_pair(X, g)
+
+    def test_memory_is_a_few_pieces(self):
+        # whole 2^20-entry blocks took 16.25-16.50 MiB here
+        X = PointSet(halton(4096, 4).points)
+        for run in (lambda: warnock_star_l2_sq(X), lambda: extreme_l2_sq(X),
+                    lambda: weighted_star_l2_sq(X, 0.8 ** np.arange(4))):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2 ** 20
 
     def test_weights_weigh_each_ordered_pair(self, monkeypatch):
         rng = np.random.default_rng(4810)
