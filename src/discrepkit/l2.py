@@ -51,22 +51,25 @@ __all__ = [
 ]
 
 _BLOCK_ELEMS = 1 << 20  # bands of _BLOCK_ELEMS // n rows: sets only the summation order
-_LEAF = 4096  # Heinrich subproblems with at most this many pairs are summed directly
+_LEAF = 4096  # Heinrich subproblems, and blocks, of at most this many pairs are summed whole
 _ACC = np.longdouble  # extended-precision accumulator for the big reductions
 
 
 def _block_sum(A, BT, va=None, vb=None):
     """Sum in ``_ACC`` over the block A x B of prod_k min(A[i, k], B[l, k]),
-    left to right, times va[i] vb[l] if weights are given; BT is B transposed.
-    Numpy sums a casting reduction as the in-order sum of its buffer-sized
-    pieces, so forming rows into the scratch S, summing each piece once it is
-    complete and carrying the rest to the front is ``np.sum`` bit for bit."""
-    piece, width = np.getbufsize(), BT.shape[1]
+    times va[i] vb[l] if given; BT is B transposed.  np.sum of a casting
+    reduction is the in-order sum of its buffer-sized pieces, so forming a few
+    rows at a time into S and summing each piece as it fills, carrying the
+    rest, is np.sum of the whole block bit for bit; a block of at most
+    ``_LEAF`` entries is one piece."""
+    rows, width = A.shape[0], BT.shape[1]
+    piece = rows * width if rows * width <= _LEAF else np.getbufsize()
     h = max(1, piece // width)
-    S = np.empty(3 * min(A.shape[0] * width, max(piece, width)))
+    g = min(h, rows) * width  # entries formed at once; a carry is below piece
+    S = np.empty(min(rows * width + g, piece + 2 * g))
     total, c = _ACC(0.0), 0
-    for i in range(0, A.shape[0], h):
-        size = min(h, A.shape[0] - i) * width
+    for i in range(0, rows, h):
+        size = min(h, rows - i) * width
         M = S[c:c + size].reshape(-1, width)
         F = S[c + size:c + 2 * size].reshape(-1, width)
         for k in range(BT.shape[0]):
@@ -81,7 +84,7 @@ def _block_sum(A, BT, va=None, vb=None):
             total += S[p:p + piece].sum(dtype=_ACC)
         S[:c % piece] = S[c - c % piece:c]
         c %= piece
-    return total + S[:c].sum(dtype=_ACC)
+    return total + S[:c].sum(dtype=_ACC) if c else total
 
 
 def _pair_sum(U: np.ndarray, v=None):
@@ -107,10 +110,8 @@ def _pair_sum(U: np.ndarray, v=None):
 def _warnock(X: PointSet) -> float:
     n, d = X.n, X.d
     pts = X.points
-    one_minus = 1.0 - pts
-
     t2 = np.sum(np.prod(1.0 - pts * pts, axis=1), dtype=_ACC)
-    t3 = _pair_sum(one_minus)
+    t3 = _pair_sum(1.0 - pts)
     return float(_ACC(3.0) ** -d - _ACC(2.0) ** (1 - d) / n * t2 + t3 / (_ACC(n) * n))
 
 
@@ -224,7 +225,7 @@ def _D_rec(v, Y, w, Z, d: int):
         return _ACC(0.0)
     if d == 0:
         return np.sum(v, dtype=_ACC) * np.sum(w, dtype=_ACC)
-    if n == 1:
+    if n == 1 or (d > 1 and n * m <= _LEAF):
         return _block_sum(Y[:, :d], Z[:, :d].T, v, w)
     if d == 1:
         ya, zb = Y[:, 0], Z[:, 0]
@@ -234,8 +235,6 @@ def _D_rec(v, Y, w, Z, d: int):
         suff_w = np.concatenate((np.cumsum(ws[::-1].astype(_ACC))[::-1], [0.0]))
         nu = np.searchsorted(zs, ya, side="right")  # z_(1..nu) <= y_i < rest
         return np.sum(v * (pref_wz[nu] + ya * suff_w[nu]), dtype=_ACC)
-    if n * m <= _LEAF:
-        return _block_sum(Y[:, :d], Z[:, :d].T, v, w)
 
     # split A at the rank median of its d-th components (stable, index ties)
     keys = Y[:, d - 1]

@@ -297,6 +297,28 @@ class TestPairBlocks:
             np.setbufsize(old)
         assert got == want
 
+    # blocks of one piece (at most _LEAF entries), of a few pieces, and with
+    # rows wider than a piece, as the Heinrich leaves and bands pass them
+    KERNEL = [(1, 1, 1), (4, 8, 2), (64, 64, 3), (1, 4097, 2), (65, 64, 4), (40, 300, 5),
+              (3, 9000, 3), (700, 100, 8)]
+
+    @pytest.mark.parametrize("bufsize", [8192, 1024])
+    def test_kernel_is_np_sum_of_whole_block(self, bufsize):
+        rng = np.random.default_rng(4850)
+        old = np.setbufsize(bufsize)
+        try:
+            for rows, width, d in self.KERNEL:
+                A, B = _kinds(rng, rows, d)[width % 4], _kinds(rng, width, d)[rows % 4]
+                va, vb = rng.normal(size=rows), rng.normal(size=width)
+                M = np.minimum(A[:, None, 0], B[None, :, 0])
+                for k in range(1, d):
+                    M = M * np.minimum(A[:, None, k], B[None, :, k])
+                assert l2._block_sum(A, B.T) == np.sum(M, dtype=np.longdouble)
+                M = M * va[:, None] * vb
+                assert l2._block_sum(A, B.T, va, vb) == np.sum(M, dtype=np.longdouble)
+        finally:
+            np.setbufsize(old)
+
     @pytest.mark.parametrize("elems", [1 << 20, 3000])
     def test_weights_folded_per_point(self, monkeypatch, elems):
         # f(x) = 1 + g x rounded is nondecreasing for g >= 0, so
@@ -312,7 +334,7 @@ class TestPairBlocks:
                         assert weighted_star_l2_sq(PointSet(X), g) == _weighted_per_pair(X, g)
 
     def test_memory_is_a_few_pieces(self):
-        # whole 2^20-entry blocks took 16.25-16.50 MiB here
+        # two whole 2^20-entry block buffers peaked at 16.25-16.50 MiB
         X = PointSet(halton(4096, 4).points)
         for run in (lambda: warnock_star_l2_sq(X), lambda: extreme_l2_sq(X),
                     lambda: weighted_star_l2_sq(X, 0.8 ** np.arange(4))):
