@@ -21,6 +21,12 @@ both sides' medians and quartiles, the change ratio (the checkout's median
 over the parent's) and the pairs the checkout won (read better, ties
 counting for neither).  ``perfbench/compare.py`` compares the result lines of
 one workload once they are written out one per line.
+
+The file is rewritten after every run, so a record cut short keeps the runs
+it made.  Run again with the same ``--out`` (and ``--parent``), the script
+resumes: it keeps the runs of that file and makes only the missing ones,
+provided the file was recorded for the same commits, seeds and run length;
+otherwise it stops without touching the file.
 """
 
 from __future__ import annotations
@@ -112,31 +118,55 @@ def main() -> int:
              "python": platform.python_version(), "numpy": numpy.__version__,
              "nproc": len(os.sched_getaffinity(0)), "mem_total_mb": _mem_total_mb(),
              "seconds": seconds, "seeds": list(SEEDS), "workloads": {}}
+    if args.parent:
+        sha = _git(root, "rev-parse", "--verify", args.parent + "^{commit}")
+        bench["parent"] = {"git_sha": sha, "workloads": {}}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            old = json.load(fh)
+        same = [(old.get(k), bench[k]) for k in ("git_sha", "seconds", "seeds")]
+        same.append((old.get("parent", {}).get("git_sha"), bench.get("parent", {}).get("git_sha")))
+        if any(a != b for a, b in same):
+            print(f"{args.out} was recorded for other commits, seeds or run length; "
+                  "not resuming", file=sys.stderr)
+            return 1
+        bench["git_dirty"] = bench["git_dirty"] or old["git_dirty"]
+        bench["workloads"] = old["workloads"]
+        if args.parent:
+            bench["parent"]["workloads"] = old["parent"]["workloads"]
+
+    def write() -> None:
+        tmp_out = args.out + ".tmp"
+        with open(tmp_out, "w", encoding="utf-8") as fh:
+            json.dump(bench, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp_out, args.out)
+
     with tempfile.TemporaryDirectory(prefix="record_bench_") as tmp:
         sides = [("change", root, bench["workloads"])]
         if args.parent:
-            sha = _git(root, "rev-parse", "--verify", args.parent + "^{commit}")
             clone = os.path.join(tmp, "parent")
             _git(root, "clone", "--quiet", "--no-checkout", root, clone)
-            _git(clone, "checkout", "--quiet", "--detach", sha)
-            bench["parent"] = {"git_sha": sha, "workloads": {}}
+            _git(clone, "checkout", "--quiet", "--detach", bench["parent"]["git_sha"])
             sides.append(("parent", clone, bench["parent"]["workloads"]))
         for workload in workloads:
             for _, _, runs in sides:
-                runs[workload] = []
+                runs.setdefault(workload, [])
             for i, seed in enumerate(SEEDS):
                 for side, path, runs in sides if i % 2 else sides[::-1]:
+                    if any(r["seed"] == seed for r in runs[workload]):
+                        continue
                     rec = _run(path, workload, seed, seconds)
                     runs[workload].append(rec)
+                    runs[workload].sort(key=lambda r: r["seed"])
+                    write()
                     run_s = rec.get("result", {}).get("metrics", {}).get("run_s", {})
                     print(f"{workload} seed={seed} {side} exit={rec['exit']} "
                           f"run_s={run_s.get('value')}", flush=True)
     if args.parent:
         bench["summary"] = {w: _summary(bench["parent"]["workloads"][w],
                                         bench["workloads"][w], better) for w in workloads}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write()
     return 0
 
 

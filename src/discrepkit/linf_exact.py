@@ -7,9 +7,13 @@ closed-box one over the plain grid (Niederreiter 1972).  Everything in this
 module is a strategy for searching those grids:
 
 * :func:`star_1d` -- Niederreiter's sorted-order formula in dimension one.
-* :func:`star_grid_enum` -- full enumeration of the induced grids by prefix
-  sums over chunks of whole rows, so memory is one chunk (``pointset._CHUNK``).  Also
-  handles signed weights and a continuous marginal distribution for the volume.
+* :func:`star_grid_enum` -- search of the induced grids.  With unit counts a
+  coarse pass bounds blocks of 2 corners per axis from their corners
+  (Thiemard's bracketing) and only the blocks it cannot prune are refined,
+  when that costs less than the grid; otherwise, and for signed weights, the
+  grid is counted and searched by prefix sums over chunks of whole rows, so
+  memory is one chunk (``pointset._CHUNK``).  Also handles a continuous
+  marginal distribution for the volume.
 * :func:`star_2d`, :func:`star_3d` -- grid enumeration, which outran the
   O(n^2) and O(n^3) sweeps of De Clerck and Bundschuh-Zhu at every size tried.
 * :func:`star_dem` -- the decomposition scheme of Dobkin, Eppstein and
@@ -29,9 +33,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
+from . import pointset
 from .pointset import (BudgetExceededError, PointSet, WeightedPointSet, _count_closed,
                        _count_open, _grid_axes, _grid_cells, _grid_rows, volume)
 
@@ -175,36 +181,110 @@ def star_1d(X: PointSet) -> StarResult:
 
 
 # ---------------------------------------------------------------------------
-# grid enumeration via streamed prefix sums
+# grid search: bracketed blocks, or streamed prefix sums
 # ---------------------------------------------------------------------------
+
+def _bracket_blocks(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.ndarray,
+                    side: str, n: int) -> np.ndarray:
+    """Lower corner indices, (B, d) in grid order, of the blocks of 2 corners
+    per axis that one coarse pass cannot prune.  It counts the blocks' lower
+    corners l (open side) or upper corners h (closed side), grid corners
+    all, so its best value is an exact incumbent; a block is pruned when its
+    bound V(h) - A(l)/n or A-bar(h)/n - V(l) is strictly below it."""
+    lo = [np.arange(0, len(a), 2) for a in axes]
+    hi = [np.minimum(i + 1, len(a) - 1) for i, a in zip(lo, axes)]
+    own, other = (lo, hi) if side == "open" else (hi, lo)
+    mus = [[m[i] for m, i in zip(mu_axes, idx)] for idx in (own, other)]
+    cells = _grid_cells([a[i] for a, i in zip(axes, own)], pts, side)
+    best, kept = -np.inf, []
+    for r0, H in _grid_rows(tuple(map(len, lo)), cells, None):
+        c = np.divide(H, n)
+        vals, bound = [v - c if side == "open" else c - v for v in
+                       (reduce(np.multiply.outer, [m[0][r0 : r0 + len(H)], *m[1:]]) for m in mus)]
+        best = max(best, float(vals.max()))
+        keep = np.flatnonzero(bound >= best)
+        kept.append((keep + r0 * H[0].size, bound.flat[keep]))
+    blocks, bounds = map(np.concatenate, zip(*kept))
+    return 2 * np.stack(np.unravel_index(blocks[bounds >= best], tuple(map(len, lo))), axis=1)
+
+
+def _refine(L: np.ndarray, shape: tuple, mu_axes: list[np.ndarray], cells: np.ndarray,
+            side: str, n: int) -> tuple[float, tuple]:
+    """(max, index) of one side's local discrepancy over the 2^d corners of
+    the blocks with lower corner indices L, in batches of about
+    ``pointset._CHUNK`` entries.  A block's count is its base (the points in
+    the box of its lower corner) plus its window points (in the box of its
+    upper corner only) prefix-summed over its own axes; a corner clipped at
+    the grid's edge repeats a corner of the block, value and index."""
+    d = len(shape)
+    C = np.unravel_index(cells[cells >= 0], shape)
+    offs = np.indices((2,) * d).reshape(d, -1, 1)
+    step = max(1, pointset._CHUNK // (2 ** d + len(C[0]) * d))
+    best, best_flat = -np.inf, 0
+    for s in range(0, len(L), step):
+        Lb = L[s : s + step]
+        base, box, loc = True, True, 0
+        for j in range(d):
+            above = C[j] > Lb[:, j, None]
+            base, box, loc = base & ~above, box & (C[j] <= Lb[:, j, None] + 1), 2 * loc + above
+        bi, pi = np.nonzero(box & ~base)
+        cnt = np.bincount(loc[bi, pi] * len(Lb) + bi, minlength=2 ** d * len(Lb))
+        cnt = cnt.reshape((2,) * d + (len(Lb),))
+        for ax in range(d):
+            np.cumsum(cnt, axis=ax, out=cnt)
+        K = [np.minimum(Lb[:, j] + offs[j], shape[j] - 1) for j in range(d)]
+        mu = reduce(np.multiply, [m[k] for m, k in zip(mu_axes, K)])
+        c = (cnt.reshape(2 ** d, -1) + base.sum(axis=1)) / n
+        vals = mu - c if side == "open" else c - mu
+        v = float(vals.max())
+        flat = int(np.ravel_multi_index(K, shape)[vals == v].min())
+        if (v, -flat) > (best, -best_flat):
+            best, best_flat = v, flat
+    return best, np.unravel_index(best_flat, shape)
+
 
 def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.ndarray,
                    w: np.ndarray | None, side: str, n: float) -> tuple[float, tuple]:
     """(max, index) over the corner grid ``axes`` of the open (mu - weight) or
     closed (weight - mu) local discrepancy, weights ``w`` (unit counts with
-    None) over ``n``, searched chunk by chunk as :func:`_grid_rows` counts.
-    mu is the product of per-axis factors, taken left to right as
-    :func:`local_values` takes it, so the maximum is bitwise the best value
-    any corner recomputes to, and ties go to the first corner in grid order."""
+    None) over ``n``.  mu is the product of per-axis factors, taken left to
+    right as :func:`local_values` takes it, so the maximum is bitwise the
+    best value any corner recomputes to, and ties go to the first corner in
+    grid order.
+
+    Unit counts with nondecreasing factors (never negative: coordinates or
+    distribution values) first bracket the grid (:func:`_bracket_blocks`):
+    rounded products, quotients and differences are monotone, so a block's
+    bound is at least every value in it as computed.  The surviving blocks
+    are refined (:func:`_refine`) when their measured work, blocks times
+    (2^d + n*d), is below the grid's corner count.  Otherwise, and always
+    with weights, whose signs void the bound, the grid is searched chunk by
+    chunk as :func:`_grid_rows` counts it."""
     shape = tuple(len(a) for a in axes)
-    row = math.prod(shape[1:])
+    if w is None and all(np.all(np.diff(m) >= 0) for m in mu_axes):
+        L = _bracket_blocks(axes, mu_axes, pts, side, n)
+        if len(L) * (2 ** len(axes) + pts.shape[0] * len(axes)) < math.prod(shape):
+            return _refine(L, shape, mu_axes, _grid_cells(axes, pts, side), side, n)
+        del L  # not held through the streamed search
     best, best_flat = -np.inf, 0
     for r0, H in _grid_rows(shape, _grid_cells(axes, pts, side), w):
-        mu = mu_axes[0][r0 : r0 + len(H)]
-        for m in mu_axes[1:]:
-            mu = np.multiply.outer(mu, m)
+        mu = reduce(np.multiply.outer, [mu_axes[0][r0 : r0 + len(H)], *mu_axes[1:]])
         c = np.divide(H, n)
         vals = np.subtract(mu, c, out=c) if side == "open" else np.subtract(c, mu, out=c)
         pos = int(np.argmax(vals))
         if vals.flat[pos] > best:
-            best, best_flat = float(vals.flat[pos]), pos + r0 * row
+            best, best_flat = float(vals.flat[pos]), pos + r0 * H[0].size
     return best, np.unravel_index(best_flat, shape)
 
 
 def star_grid_enum(nu, G: MarginalCDF | None = None,
                    budget: int = 20_000_000) -> StarResult:
-    """Star discrepancy by full enumeration of the induced grids, counted and
-    searched in chunks of whole rows, so memory is one chunk (``pointset._CHUNK``).
+    """Star discrepancy by search of the induced grids: bracketed and refined
+    block by block for unit counts where the surviving blocks cost less than
+    the grid, otherwise counted and searched in chunks of whole rows, so
+    memory is one chunk (``pointset._CHUNK``).  Either way the value, the
+    witness (the first maximal corner in grid order) and the kind are those
+    of full enumeration, bit for bit (:func:`_grid_side_max`).
 
     Valid for signed weights and for a continuous product distribution
     function in place of Lebesgue measure: the measure of the point part is

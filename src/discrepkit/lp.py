@@ -25,6 +25,7 @@ from math import comb
 
 import numpy as np
 
+from . import pointset
 from .pointset import BudgetExceededError, PointSet
 from .l2 import _ACC, _check_weights
 
@@ -40,24 +41,23 @@ def _tuple_level_sum(pw: np.ndarray, a: np.ndarray, level: int):
     """Sum over all ``level``-tuples of prod_j (1 + a_j - a_j * max_tuple pw_j),
     pw the points raised to q = p - level + 1 and a = gamma / q.
 
-    Walks tuple prefixes depth first carrying the running coordinatewise
-    maximum, which starts at 0, the maximum over the empty prefix; the
-    innermost index is vectorized.
+    Tuple prefixes (all but the last index) go in lexicographic order in
+    batches of about ``pointset._CHUNK`` factors; a prefix's coordinatewise
+    maximum starts at 0 (the empty prefix), its sum over the last index is
+    one row sum, and these add to the total in order, as a depth-first walk.
     """
     c = 1.0 + a
     if level == 0:
         return np.prod(c)
-    total = _ACC(0.0)
-
-    def walk(depth: int, running_max: np.ndarray) -> None:
-        nonlocal total
-        if depth == level - 1:
-            total += np.sum(np.prod(c - a * np.maximum(running_max, pw), axis=1))
-            return
-        for row in pw:
-            walk(depth + 1, np.maximum(running_max, row))
-
-    walk(0, np.zeros_like(a))
+    (n, d), total = pw.shape, _ACC(0.0)
+    count, step = n ** (level - 1), max(1, pointset._CHUNK // (n * d))
+    for s in range(0, count, step):
+        r = np.arange(s, min(count, s + step))
+        M = np.zeros((len(r), d), dtype=pw.dtype)
+        for t in range(level - 1):
+            M = np.maximum(M, pw[r // n ** (level - 2 - t) % n])
+        S = np.prod(c - a * np.maximum(M[:, None], pw), axis=2).sum(axis=1)
+        total = np.cumsum(np.concatenate(([total], S)))[-1]
     return total
 
 

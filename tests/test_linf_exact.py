@@ -9,9 +9,9 @@ from discrepkit import (BudgetExceededError, MarginalCDF, PointSet,
                         WeightedPointSet, dem_cost_estimate, halton,
                         local_discrepancy, midpoint_set, star_1d, star_2d,
                         star_3d, star_dem, star_exact, star_grid_enum)
-from discrepkit import pointset
+from discrepkit import linf_exact, pointset
 from discrepkit.linf_approx import build_delta_cover, cover_bounds
-from discrepkit.linf_exact import _grid_side_max, local_values
+from discrepkit.linf_exact import _bracket_blocks, _grid_side_max, _refine, local_values
 from discrepkit.pointset import _grid_axes, _grid_cells, _grid_rows
 
 
@@ -242,6 +242,68 @@ class TestStreamedGrid:
                     got = np.concatenate([H for _, H in chunks])
                     want = cumsum_tensor(axes, pts, w, side)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def bracket_side_max(axes, mu_axes, pts, side, n):
+    """One side's (max, index) by refining every block the coarse pass
+    keeps, whatever the selection rule would choose."""
+    L = _bracket_blocks(axes, mu_axes, pts, side, n)
+    return _refine(L, tuple(map(len, axes)), mu_axes, _grid_cells(axes, pts, side), side, n)
+
+
+class TestBracketSearch:
+    """The bracket search with refinement forced on both sides against one
+    whole count tensor per side: value and index bitwise, so also the tie
+    rule (the first corner in grid order), at chunks of a few corners."""
+
+    @pytest.fixture(autouse=True, params=[1, 7, 1 << 15])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(pointset, "_CHUNK", request.param)
+
+    def check(self, axes, mu, pts, side):
+        want = full_side_max(axes, mu, pts, None, side, len(pts))
+        got = bracket_side_max(axes, mu, pts, side, len(pts))
+        assert got[0] == want[0] and tuple(got[1]) == tuple(want[1])
+
+    def test_plain_sets_and_marginals(self, rng):
+        for t in range(40):
+            d = int(rng.integers(1, 6))
+            pts = random_pointset_with_ties(rng, int(rng.integers(1, [0, 40, 14, 8, 6, 5][d])),
+                                            d).points.copy()
+            if t % 4 == 0:  # coarse coordinates: many ties and duplicate points
+                pts = np.floor(pts * 3) / 3
+            G = random_marginals(rng, d) if t % 2 else None
+            for axes, side in zip(_grid_axes(pts)[::-1], ("open", "closed")):
+                self.check(axes, axes if G is None else
+                           [G.marginal(j, a) for j, a in enumerate(axes)], pts, side)
+
+    def test_cover_levels_and_axes_short_of_points(self, rng):
+        for d, delta in ((1, 0.05), (2, 0.2), (3, 0.3), (4, 0.5)):
+            pts = random_pointset_with_ties(rng, 12, d).points
+            levels = [build_delta_cover(d, delta).levels] * d
+            for side in ("open", "closed"):
+                self.check(levels, levels, pts, side)
+        for _ in range(20):
+            d = int(rng.integers(1, 5))
+            pts = np.round(rng.random((9, d)) * 4) / 4
+            axes = [np.unique(np.append(rng.choice(pts[:, j], 3), 1.0))[:3] for j in range(d)]
+            for side in ("open", "closed"):
+                self.check(axes, axes, pts, side)
+
+    def test_selection(self, rng, monkeypatch):
+        # a small uniform set refines; a weighted one never brackets
+        refined = []
+        monkeypatch.setattr(linf_exact, "_refine",
+                            lambda *a: refined.append(a[-2]) or _refine(*a))
+        X = random_pointset(rng, 20, 4)
+        plain, aug = _grid_axes(X.points)
+        got = star_grid_enum(X)
+        assert (got.value, got.witness.tolist(), got.kind) == full_grid_star(X, aug, plain)
+        assert refined == ["open", "closed"]
+        monkeypatch.setattr(linf_exact, "_bracket_blocks", None)
+        W = WeightedPointSet(np.full(X.n, 1.0 / X.n), X.points)
+        got = star_grid_enum(W)
+        assert (got.value, got.witness.tolist(), got.kind) == full_grid_star(W, aug, plain)
 
 
 class TestMarginalCDF:

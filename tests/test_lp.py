@@ -7,6 +7,9 @@ import oracles
 from conftest import random_pointset
 from discrepkit import (BudgetExceededError, PointSet, lp_cost_estimate,
                         weighted_star_lp_pow, weighted_star_l2_sq)
+from discrepkit import pointset
+from discrepkit.l2 import _ACC
+from discrepkit.lp import _tuple_level_sum
 
 
 class TestValues:
@@ -27,6 +30,49 @@ class TestValues:
         X = random_pointset(rng, 6, 3)
         for p in (2, 4):
             assert weighted_star_lp_pow(X, np.zeros(3), p) == pytest.approx(0.0, abs=1e-12)
+
+
+def walked_level_sum(pw, a, level):
+    """The tuple sum by a depth-first walk over tuple prefixes, one
+    interpreted call per prefix, adding each prefix's row sum to the total
+    as it is met: the order the batched kernel must keep."""
+    c = 1.0 + a
+    if level == 0:
+        return np.prod(c)
+    total = _ACC(0.0)
+
+    def walk(depth, running_max):
+        nonlocal total
+        if depth == level - 1:
+            total += np.sum(np.prod(c - a * np.maximum(running_max, pw), axis=1))
+            return
+        for row in pw:
+            walk(depth + 1, np.maximum(running_max, row))
+
+    walk(0, np.zeros_like(a))
+    return total
+
+
+class TestTupleLevelSum:
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 15])
+    def test_matches_depth_first_walk_bitwise(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(pointset, "_CHUNK", chunk)
+        for t in range(60):
+            p, d = (2, 4, 6)[t % 3], int(rng.integers(1, 7))
+            n = int(rng.integers(1, {2: 30, 4: 7, 6: 4}[p]))
+            pts = rng.random((n, d))
+            if t % 4 == 1:  # tied coordinates
+                pts = np.floor(pts * 3) / 3
+            elif t % 4 == 2:  # zero coordinates and a duplicate point
+                pts[rng.random((n, d)) < 0.3] = 0.0
+                pts[0] = pts[-1]
+            g = np.sort(rng.random(d) * 2)[::-1].astype(_ACC)
+            for level in range(p + 1):
+                q = p - level + 1
+                pw = pts.astype(_ACC) ** q
+                got = _tuple_level_sum(pw, g / q, level)
+                want = walked_level_sum(pw, g / q, level)
+                assert got.dtype == want.dtype and got == want
 
 
 class TestValidation:
