@@ -186,11 +186,11 @@ def star_1d(X: PointSet) -> StarResult:
 
 def _bracket_blocks(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.ndarray,
                     side: str, n: int) -> np.ndarray:
-    """Lower corner indices, (B, d) in grid order, of the blocks of 2 corners
-    per axis that one coarse pass cannot prune.  It counts the blocks' lower
-    corners l (open side) or upper corners h (closed side), grid corners
-    all, so its best value is an exact incumbent; a block is pruned when its
-    bound V(h) - A(l)/n or A-bar(h)/n - V(l) is strictly below it."""
+    """Flat indices, in grid order, of the blocks of 2 corners per axis that
+    one coarse pass cannot prune.  It counts the blocks' lower corners l
+    (open side) or upper corners h (closed side), grid corners all, so its
+    best value is an exact incumbent; a block is pruned when its bound
+    V(h) - A(l)/n or A-bar(h)/n - V(l) is strictly below it."""
     lo = [np.arange(0, len(a), 2) for a in axes]
     hi = [np.minimum(i + 1, len(a) - 1) for i, a in zip(lo, axes)]
     own, other = (lo, hi) if side == "open" else (hi, lo)
@@ -199,19 +199,20 @@ def _bracket_blocks(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.n
     best, kept = -np.inf, []
     for r0, H in _grid_rows(tuple(map(len, lo)), cells, None):
         c = np.divide(H, n)
-        vals, bound = [v - c if side == "open" else c - v for v in
-                       (reduce(np.multiply.outer, [m[0][r0 : r0 + len(H)], *m[1:]]) for m in mus)]
-        best = max(best, float(vals.max()))
+        vals = (np.subtract(*((v, c) if side == "open" else (c, v)), out=v) for v in
+                (reduce(np.multiply.outer, [m[0][r0 : r0 + len(H)], *m[1:]]) for m in mus))
+        best = max(best, float(next(vals).max()))  # one chunk-sized array at a time
+        bound = next(vals)
         keep = np.flatnonzero(bound >= best)
         kept.append((keep + r0 * H[0].size, bound.flat[keep]))
     blocks, bounds = map(np.concatenate, zip(*kept))
-    return 2 * np.stack(np.unravel_index(blocks[bounds >= best], tuple(map(len, lo))), axis=1)
+    return blocks[bounds >= best]
 
 
-def _refine(L: np.ndarray, shape: tuple, mu_axes: list[np.ndarray], cells: np.ndarray,
+def _refine(blocks: np.ndarray, shape: tuple, mu_axes: list[np.ndarray], cells: np.ndarray,
             side: str, n: int) -> tuple[float, tuple]:
     """(max, index) of one side's local discrepancy over the 2^d corners of
-    the blocks with lower corner indices L, in batches of about
+    the blocks of :func:`_bracket_blocks`, in batches of about
     ``pointset._CHUNK`` entries.  A block's count is its base (the points in
     the box of its lower corner) plus its window points (in the box of its
     upper corner only) prefix-summed over its own axes; a corner clipped at
@@ -221,18 +222,19 @@ def _refine(L: np.ndarray, shape: tuple, mu_axes: list[np.ndarray], cells: np.nd
     offs = np.indices((2,) * d).reshape(d, -1, 1)
     step = max(1, pointset._CHUNK // (2 ** d + len(C[0]) * d))
     best, best_flat = -np.inf, 0
-    for s in range(0, len(L), step):
-        Lb = L[s : s + step]
+    for s in range(0, len(blocks), step):
+        b = blocks[s : s + step]
+        L = [2 * i for i in np.unravel_index(b, [(k + 1) // 2 for k in shape])]  # lower corners
         base, box, loc = True, True, 0
         for j in range(d):
-            above = C[j] > Lb[:, j, None]
-            base, box, loc = base & ~above, box & (C[j] <= Lb[:, j, None] + 1), 2 * loc + above
+            above = C[j] > L[j][:, None]
+            base, box, loc = base & ~above, box & (C[j] <= L[j][:, None] + 1), 2 * loc + above
         bi, pi = np.nonzero(box & ~base)
-        cnt = np.bincount(loc[bi, pi] * len(Lb) + bi, minlength=2 ** d * len(Lb))
-        cnt = cnt.reshape((2,) * d + (len(Lb),))
+        cnt = np.bincount(loc[bi, pi] * len(b) + bi, minlength=2 ** d * len(b))
+        cnt = cnt.reshape((2,) * d + (len(b),))
         for ax in range(d):
             np.cumsum(cnt, axis=ax, out=cnt)
-        K = [np.minimum(Lb[:, j] + offs[j], shape[j] - 1) for j in range(d)]
+        K = [np.minimum(L[j] + offs[j], shape[j] - 1) for j in range(d)]
         mu = reduce(np.multiply, [m[k] for m, k in zip(mu_axes, K)])
         c = (cnt.reshape(2 ** d, -1) + base.sum(axis=1)) / n
         vals = mu - c if side == "open" else c - mu
@@ -248,9 +250,8 @@ def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.nd
     """(max, index) over the corner grid ``axes`` of the open (mu - weight) or
     closed (weight - mu) local discrepancy, weights ``w`` (unit counts with
     None) over ``n``.  mu is the product of per-axis factors, taken left to
-    right as :func:`local_values` takes it, so the maximum is bitwise the
-    best value any corner recomputes to, and ties go to the first corner in
-    grid order.
+    right as :func:`local_values` takes it, so the maximum is bitwise the best
+    value any corner recomputes to, and ties go to the first corner in grid order.
 
     Unit counts with nondecreasing factors (never negative: coordinates or
     distribution values) first bracket the grid (:func:`_bracket_blocks`):
@@ -262,10 +263,9 @@ def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.nd
     chunk as :func:`_grid_rows` counts it."""
     shape = tuple(len(a) for a in axes)
     if w is None and all(np.all(np.diff(m) >= 0) for m in mu_axes):
-        L = _bracket_blocks(axes, mu_axes, pts, side, n)
-        if len(L) * (2 ** len(axes) + pts.shape[0] * len(axes)) < math.prod(shape):
-            return _refine(L, shape, mu_axes, _grid_cells(axes, pts, side), side, n)
-        del L  # not held through the streamed search
+        blocks = _bracket_blocks(axes, mu_axes, pts, side, n)
+        if len(blocks) * (2 ** len(axes) + pts.shape[0] * len(axes)) < math.prod(shape):
+            return _refine(blocks, shape, mu_axes, _grid_cells(axes, pts, side), side, n)
     best, best_flat = -np.inf, 0
     for r0, H in _grid_rows(shape, _grid_cells(axes, pts, side), w):
         mu = reduce(np.multiply.outer, [mu_axes[0][r0 : r0 + len(H)], *mu_axes[1:]])

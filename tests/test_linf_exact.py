@@ -247,8 +247,8 @@ class TestStreamedGrid:
 def bracket_side_max(axes, mu_axes, pts, side, n):
     """One side's (max, index) by refining every block the coarse pass
     keeps, whatever the selection rule would choose."""
-    L = _bracket_blocks(axes, mu_axes, pts, side, n)
-    return _refine(L, tuple(map(len, axes)), mu_axes, _grid_cells(axes, pts, side), side, n)
+    blocks = _bracket_blocks(axes, mu_axes, pts, side, n)
+    return _refine(blocks, tuple(map(len, axes)), mu_axes, _grid_cells(axes, pts, side), side, n)
 
 
 class TestBracketSearch:
