@@ -41,22 +41,22 @@ def _tuple_level_sum(pw: np.ndarray, a: np.ndarray, level: int):
     """Sum over all ``level``-tuples of prod_j (1 + a_j - a_j * max_tuple pw_j),
     pw the points raised to q = p - level + 1 and a = gamma / q.
 
-    Tuple prefixes (all but the last index) go in lexicographic order in
-    batches of about ``pointset._CHUNK`` factors; a prefix's coordinatewise
-    maximum starts at 0 (the empty prefix), its sum over the last index is
-    one row sum, and these add to the total in order, as a depth-first walk.
+    Prefixes (all but the last index) go in lexicographic order, in batches
+    of about ``pointset._CHUNK`` factors.  a >= 0 and rounding is monotone,
+    so a factor at a tuple maximum is bitwise the minimum over the tuple of
+    Q = 1 + a - a * pw; the prefixes' row sums add up in depth-first order.
     """
     c = 1.0 + a
     if level == 0:
         return np.prod(c)
-    (n, d), total = pw.shape, _ACC(0.0)
+    (n, d), total, Q = pw.shape, _ACC(0.0), c - a * pw
     count, step = n ** (level - 1), max(1, pointset._CHUNK // (n * d))
     for s in range(0, count, step):
         r = np.arange(s, min(count, s + step))
-        M = np.zeros((len(r), d), dtype=pw.dtype)
+        R = np.full((len(r), d), c)
         for t in range(level - 1):
-            M = np.maximum(M, pw[r // n ** (level - 2 - t) % n])
-        S = np.prod(c - a * np.maximum(M[:, None], pw), axis=2).sum(axis=1)
+            R = np.minimum(R, Q[r // n ** (level - 2 - t) % n])
+        S = np.prod(np.minimum(R[:, None], Q), axis=2).sum(axis=1)
         total = np.cumsum(np.concatenate(([total], S)))[-1]
     return total
 
