@@ -220,10 +220,6 @@ def _nearest_mass_weights(P: DiscreteMeasure, support_idx: list) -> np.ndarray:
     return q
 
 
-def _measure_on(P: DiscreteMeasure, support_idx: list, q: np.ndarray) -> DiscreteMeasure:
-    return DiscreteMeasure(P.atoms[support_idx], q)
-
-
 def _support_scorer(P: DiscreteMeasure, exact_inner: bool, budget: int):
     """The inner problem of one reduction of P, set up once: a function from
     a support to (q, t) on that support sorted increasingly, q in that order.
@@ -270,7 +266,8 @@ def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
         dist, q = best[1], best[2]
         trace.append((len(chosen), dist))
     idx = sorted(chosen)
-    return ReductionResult(_measure_on(P, idx, q), tuple(idx), dist, tuple(trace))
+    return ReductionResult(DiscreteMeasure(P.atoms[idx], q), tuple(idx), dist,
+                           tuple(trace))
 
 
 def backward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
@@ -292,7 +289,8 @@ def backward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
         chosen.remove(best[0])
         dist, q = best[1], best[2]
         trace.append((len(chosen), dist))
-    return ReductionResult(_measure_on(P, chosen, q), tuple(chosen), dist, tuple(trace))
+    return ReductionResult(DiscreteMeasure(P.atoms[chosen], q), tuple(chosen), dist,
+                           tuple(trace))
 
 
 # ---------------------------------------------------------------------------

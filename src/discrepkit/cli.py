@@ -1,17 +1,19 @@
 """Command-line surface and file formats.
 
-Point-set files: optional '#' comment lines; each data line holds d
-whitespace-separated decimals in [0,1).  Measure files: each data line holds
-a probability followed by d coordinates.  Marginal-table files (for the
-G-star discrepancy): one line per coordinate with alternating knot/value
-pairs.  Floats are written with shortest round-trip repr, so write/read is
-value-preserving.
+Every input file is read by one tokenizer: blank lines and lines starting
+with '#' are skipped, and tokens parse as float() parses them.  Point sets:
+each data line holds d decimals in [0,1).  Measures: a probability, then d
+coordinates in [0,1].  Marginal tables (for the G-star discrepancy): one
+line per coordinate of alternating knot/value pairs.  Report manifests: a
+unique set name and a point-set path per line.  Floats are written as
+shortest round-trip reprs, so write/read is value-preserving.
 
 Reports are line-oriented ``key=value`` records with a stable schema
 (``--format json`` gives the same content as one JSON object).  Exit codes:
-0 success, 2 usage or parse error, 3 infeasible under the budget, 4 numeric
-failure.  Randomized subcommands require an explicit --seed in json mode; in
-text mode a time-derived seed is drawn and logged.
+0 success, 2 usage or parse error or a file that cannot be opened, 3
+infeasible under the budget, 4 numeric failure.  Randomized subcommands
+require an explicit --seed in json mode; in text mode a time-derived seed is
+drawn and logged.
 """
 
 from __future__ import annotations
@@ -61,40 +63,59 @@ class ParseError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
-def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+def _data_rows(path: str) -> list:
+    """``(line number, tokens)`` of each data line of the file at ``path``;
+    blank lines and lines starting with '#' are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return [(lineno, line.split()) for lineno, raw in enumerate(lines, start=1)
+            if (line := raw.strip()) and not line.startswith("#")]
+
+
+def _matrix(path: str, rows: list) -> np.ndarray:
+    """Equal-width data rows as one float array, tokens read as float() reads
+    them; otherwise a ParseError naming the first line that does not parse."""
+    if not rows:
+        raise ParseError(f"{path}: no data lines")
+    try:
+        return np.array([tokens for _, tokens in rows], dtype=np.float64)
+    except ValueError:
+        width = len(rows[0][1])
+        for lineno, tokens in rows:
+            try:
+                np.array(tokens, dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if len(tokens) != width:
+                raise ParseError(f"{path}:{lineno}: expected {width} values, "
+                                 f"got {len(tokens)}") from None
+        raise
+
+
+def _check(path: str, rows: list, values: np.ndarray, bad: np.ndarray, reason: str) -> None:
+    """ParseError at the first line of ``rows`` with a ``bad`` value;
+    ``reason`` formats that value."""
+    at = np.argwhere(bad)
+    if at.size:
+        raise ParseError(f"{path}:{rows[at[0][0]][0]}: "
+                         + reason.format(float(values[tuple(at[0])])))
 
 
 def read_pointset(path: str) -> PointSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    rows = []
-    d = None
-    for lineno, line in _data_lines(text):
-        try:
-            vals = [float(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if d is None:
-            d = len(vals)
-        elif len(vals) != d:
-            raise ParseError(f"{path}:{lineno}: expected {d} coordinates, got {len(vals)}")
-        for c in vals:
-            if not (0.0 <= c < 1.0):
-                raise ParseError(f"{path}:{lineno}: coordinate {c!r} outside [0, 1)")
-        rows.append(vals)
-    if not rows:
-        raise ParseError(f"{path}: no data lines")
-    return PointSet(np.array(rows))
+    rows = _data_rows(path)
+    X = _matrix(path, rows)
+    _check(path, rows, X, ~((X >= 0.0) & (X < 1.0)), "coordinate {!r} outside [0, 1)")
+    return PointSet(X)
+
+
+def _table_text(header: str, table: np.ndarray) -> str:
+    """A '#' header, then one line per row in shortest round-trip reprs."""
+    return f"# {header}\n" + "".join(" ".join(map(repr, row)) + "\n"
+                                    for row in table.tolist())
 
 
 def _pointset_text(X: PointSet) -> str:
-    return f"# d={X.d} n={X.n}\n" + "".join(
-        " ".join(repr(float(c)) for c in row) + "\n" for row in X.points)
+    return _table_text(f"d={X.d} n={X.n}", X.points)
 
 
 def write_pointset(path: str, X: PointSet) -> None:
@@ -103,60 +124,38 @@ def write_pointset(path: str, X: PointSet) -> None:
 
 
 def read_measure(path: str) -> DiscreteMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    probs, rows = [], []
-    d = None
-    for lineno, line in _data_lines(text):
-        try:
-            vals = [float(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if len(vals) < 2:
-            raise ParseError(f"{path}:{lineno}: need a probability and coordinates")
-        if d is None:
-            d = len(vals) - 1
-        elif len(vals) - 1 != d:
-            raise ParseError(f"{path}:{lineno}: expected {d} coordinates")
-        if vals[0] < 0.0:
-            raise ParseError(f"{path}:{lineno}: negative probability")
-        for c in vals[1:]:
-            if not (0.0 <= c <= 1.0):
-                raise ParseError(f"{path}:{lineno}: coordinate {c!r} outside [0, 1]")
-        probs.append(vals[0])
-        rows.append(vals[1:])
-    if not rows:
-        raise ParseError(f"{path}: no data lines")
-    total = sum(probs)
+    rows = _data_rows(path)
+    table = _matrix(path, rows)
+    if table.shape[1] < 2:
+        raise ParseError(f"{path}:{rows[0][0]}: need a probability and coordinates")
+    p, atoms = table[:, 0], table[:, 1:]
+    _check(path, rows, p, p < 0.0, "negative probability {!r}")
+    _check(path, rows, atoms, ~((atoms >= 0.0) & (atoms <= 1.0)),
+           "coordinate {!r} outside [0, 1]")
+    total = sum(p.tolist())  # left to right; np.sum's pairwise order changes p / total
     if abs(total - 1.0) > 1e-9:
         raise ParseError(f"{path}: probabilities sum to {total!r}, not 1")
-    p = np.array(probs)
     if abs(total - 1.0) > 1e-12:
         p = p / total
-    return DiscreteMeasure(np.array(rows), p)
+    return DiscreteMeasure(atoms, p)
 
 
 def write_measure(path: str, P: DiscreteMeasure) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# d={P.d} atoms={P.n}\n")
-        for p, row in zip(P.probabilities, P.atoms):
-            fh.write(repr(float(p)) + " " + " ".join(repr(float(c)) for c in row) + "\n")
+        fh.write(_table_text(f"d={P.d} atoms={P.n}",
+                             np.column_stack([P.probabilities, P.atoms])))
 
 
 def read_marginals(path: str) -> MarginalCDF:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    tables = []
-    for lineno, line in _data_lines(text):
-        try:
-            vals = [float(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if len(vals) < 4 or len(vals) % 2 != 0:
-            raise ParseError(f"{path}:{lineno}: need knot/value pairs")
-        tables.append((vals[0::2], vals[1::2]))
-    if not tables:
+    rows = _data_rows(path)
+    if not rows:
         raise ParseError(f"{path}: no data lines")
+    tables = []
+    for lineno, tokens in rows:
+        if len(tokens) < 4 or len(tokens) % 2 != 0:
+            raise ParseError(f"{path}:{lineno}: need knot/value pairs")
+        pairs = _matrix(path, [(lineno, tokens)]).reshape(-1, 2)
+        tables.append((pairs[:, 0], pairs[:, 1]))
     try:
         return MarginalCDF(tables)
     except ValueError as exc:
@@ -453,28 +452,22 @@ def _cmd_optimize_perms(args, report: RunReport) -> None:
 def _cmd_report(args, report: RunReport) -> None:
     seed = _need_seed(args, report)
     sets = {}
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        for lineno, line in _data_lines(fh.read()):
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{args.manifest}:{lineno}: expected '<name> <path>'")
-            sets[parts[0]] = read_pointset(parts[1])
+    for lineno, tokens in _data_rows(args.manifest):
+        if len(tokens) != 2:
+            raise ParseError(f"{args.manifest}:{lineno}: expected '<name> <path>'")
+        if tokens[0] in sets:
+            raise ParseError(f"{args.manifest}:{lineno}: set name {tokens[0]!r} "
+                             "given twice")
+        sets[tokens[0]] = read_pointset(tokens[1])
     measures = [m.strip() for m in args.measures.split(",") if m.strip()]
     cells = quality_report(sets, measures, exact_budget=args.budget,
                            delta=args.delta, ta_iterations=args.iterations,
                            restarts=args.restarts, seed=seed)
     for cell in cells:
         rec = {"set": cell.set_name, "measure": cell.measure, "method": cell.method}
-        if cell.value is not None:
-            rec["value"] = cell.value
-        if cell.lower is not None:
-            rec["lower"] = cell.lower
-        if cell.upper is not None:
-            rec["upper"] = cell.upper
-        if cell.seed is not None:
-            rec["seed"] = cell.seed
-        if cell.error is not None:
-            rec["error"] = cell.error
+        for key in ("value", "lower", "upper", "seed", "error"):
+            if getattr(cell, key) is not None:
+                rec[key] = getattr(cell, key)
         rec["wall_time"] = cell.wall_time
         report.add(**rec)
 
@@ -526,17 +519,14 @@ def _cmd_selftest(args, report: RunReport) -> int:
 
 
 def run_command(argv) -> tuple[int, RunReport]:
-    ap = _build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        code = int(exc.code) if exc.code else 0
-        rep = RunReport(command=" ".join(argv))
-        if code != 0:
-            rep.add(error="usage", exit_code=EXIT_USAGE)
-            return EXIT_USAGE, rep
-        return EXIT_OK, rep
     report = RunReport(command=" ".join(argv))
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if not exc.code:
+            return EXIT_OK, report
+        report.add(error="usage", exit_code=EXIT_USAGE)
+        return EXIT_USAGE, report
     try:
         if args.cmd == "gen":
             X = _cmd_gen(args, report)
@@ -558,7 +548,7 @@ def run_command(argv) -> tuple[int, RunReport]:
         elif args.cmd == "selftest":
             return _cmd_selftest(args, report), report
         return EXIT_OK, report
-    except (ParseError, SystemExit2, ValueError) as exc:
+    except (ParseError, SystemExit2, ValueError, OSError) as exc:
         report.add(error=str(exc), exit_code=EXIT_USAGE)
         return EXIT_USAGE, report
     except BudgetExceededError as exc:
@@ -570,12 +560,8 @@ def run_command(argv) -> tuple[int, RunReport]:
 
 
 def _wants_json(argv) -> bool:
-    for i, tok in enumerate(argv):
-        if tok == "--format" and i + 1 < len(argv) and argv[i + 1] == "json":
-            return True
-        if tok == "--format=json":
-            return True
-    return False
+    return "--format=json" in argv or any(
+        a == "--format" and b == "json" for a, b in zip(argv, argv[1:]))
 
 
 def main(argv=None) -> int:

@@ -132,12 +132,6 @@ def _coerce(nu) -> tuple[np.ndarray, np.ndarray, bool]:
     raise TypeError("expected a PointSet or WeightedPointSet")
 
 
-def _mu_value(y: np.ndarray, G: MarginalCDF | None) -> float:
-    if G is None:
-        return volume(y)
-    return G.value(y)
-
-
 def local_values(nu, y, G: MarginalCDF | None = None) -> tuple[float, float]:
     """(open, closed) local discrepancies of a possibly weighted set at y.
 
@@ -147,7 +141,7 @@ def local_values(nu, y, G: MarginalCDF | None = None) -> tuple[float, float]:
     """
     pts, w, is_plain = _coerce(nu)
     yv = np.asarray(y, dtype=np.float64).reshape(-1)
-    mu = _mu_value(yv, G)
+    mu = volume(yv) if G is None else G.value(yv)
     if is_plain:
         n = pts.shape[0]
         return mu - _count_open(pts, yv) / n, _count_closed(pts, yv) / n - mu
@@ -296,9 +290,7 @@ def star_grid_enum(nu, G: MarginalCDF | None = None,
     if G is not None and G.d != pts.shape[1]:
         raise ValueError("marginal table dimension mismatch")
     plain, aug = _grid_axes(pts)
-    aug_size = 1
-    for a in aug:
-        aug_size *= len(a)
+    aug_size = math.prod(map(len, aug))
     if aug_size > budget:
         raise BudgetExceededError(
             f"augmented grid has {aug_size} corners, exceeding the budget "

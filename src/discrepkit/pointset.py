@@ -214,10 +214,7 @@ class GridView:
     @property
     def grid_size(self) -> int:
         """Number of corners in the closed-side grid (product of sizes)."""
-        out = 1
-        for v in self.values:
-            out *= len(v)
-        return out
+        return math.prod(map(len, self.values))
 
 
 def grid_view(X: PointSet) -> GridView:

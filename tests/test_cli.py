@@ -319,3 +319,85 @@ class TestCommands:
         text = rep.render_text()
         assert text.splitlines()[0] == "format_version=1"
         assert "value=0.0833333333333333" in text
+
+
+GOOD_POINTS = "0.125 0.5\n0.375 0.25\n0.625 0.75\n"
+GOOD_MEASURE = "0.25 0.1\n0.25 0.4\n0.5 0.6\n"
+DISC = ["disc", "--input", "{in}", "--measure", "star-l2"]
+REDUCE = ["reduce", "--input", "{in}", "--n", "1"]
+GSTAR = ["disc", "--input", "{good}", "--measure", "star-linf", "--gstar", "{in}"]
+REPORT = ["report", "--manifest", "{in}", "--measures", "star-l2", "--seed", "1"]
+
+# (case, argv, text of the file {in}, what the error must contain); {good} is
+# a valid point set, {missing} a path that does not exist, {dir} a directory
+# and {nowhere} a file in a directory that does not exist
+INPUT_FAULTS = [
+    ("points bad token", DISC, "# d=2\n0.1 0.2\n0.3 x\n", "{in}:3: "),
+    ("points short row", DISC, "0.1 0.2\n\n0.3\n", "{in}:3: "),
+    ("points out of range", DISC, "0.1 0.2\n0.3 1.0\n", "{in}:2: "),
+    ("points nan", DISC, "0.1 0.2\n0.3 nan\n", "{in}:2: "),
+    ("points no data", DISC, "# only a comment\n\n", "{in}: no data lines"),
+    ("measure bad token", REDUCE, "0.5 0.1\n0.5 0..2\n", "{in}:2: "),
+    ("measure short row", REDUCE, "0.5 0.1 0.2\n0.5 0.3\n", "{in}:2: "),
+    ("measure out of range", REDUCE, "0.5 0.1\n0.5 1.5\n", "{in}:2: "),
+    ("measure nan coordinate", REDUCE, "0.5 0.1\n0.5 nan\n", "{in}:2: "),
+    ("negative probability", REDUCE, "0.5 0.1\n# c\n-0.5 0.2\n1.0 0.3\n", "{in}:3: "),
+    ("probability sum", REDUCE, "0.7 0.2\n0.7 0.4\n", "{in}: probabilities sum"),
+    ("marginals odd count", GSTAR, "0 0 1 1\n0 0 0.5\n", "{in}:2: "),
+    ("marginals bad token", GSTAR, "0 0 1 1\n0 0 one 1\n", "{in}:2: "),
+    ("manifest field count", REPORT, "a {good} extra\n", "{in}:1: "),
+    ("manifest duplicate name", REPORT, "a {good}\n# c\na {good}\n", "{in}:3: "),
+    ("manifest bad set", REPORT, "a {in}\n", "{in}:1: "),
+    ("points missing", DISC[:2] + ["{missing}"] + DISC[3:], None, "'{missing}'"),
+    ("measure directory", REDUCE[:2] + ["{dir}"] + REDUCE[3:], None, "'{dir}'"),
+    ("marginals missing", GSTAR[:-1] + ["{missing}"], None, "'{missing}'"),
+    ("manifest missing", REPORT[:2] + ["{missing}"] + REPORT[3:], None, "'{missing}'"),
+    ("manifest names a missing set", REPORT, "a {missing}\n", "'{missing}'"),
+    ("gen unwritable out", ["gen", "--type", "midpoint", "--n", "4", "--out", "{nowhere}"],
+     None, "'{nowhere}'"),
+    ("reduce unwritable out", REDUCE + ["--out", "{nowhere}"], GOOD_MEASURE, "'{nowhere}'"),
+]
+
+
+@pytest.mark.parametrize("argv, text, want", [c[1:] for c in INPUT_FAULTS],
+                         ids=[c[0] for c in INPUT_FAULTS])
+def test_input_fault_exits_2_naming_its_line(tmp_path, argv, text, want):
+    paths = {"in": tmp_path / "in.txt", "good": tmp_path / "good.txt",
+             "missing": tmp_path / "missing.txt", "dir": tmp_path,
+             "nowhere": tmp_path / "absent" / "out.txt"}
+    paths["good"].write_text(GOOD_POINTS)
+    if text is not None:
+        paths["in"].write_text(text.format(**paths))
+    code, rep = run([a.format(**paths) for a in argv])
+    assert code == 2
+    assert rep.records[-1]["exit_code"] == 2
+    assert want.format(**paths) in rep.records[-1]["error"]
+
+
+def test_pointset_reader_keeps_float_bits(tmp_path):
+    rng = np.random.default_rng(12)
+    tokens = ["0." + "".join(map(str, rng.integers(0, 10, int(k))))
+              for k in rng.integers(17, 40, 96)]
+    tokens += ["1e-3", "2.5E-1", "9.999999999999999e-01", "0.000001e+2", "0.1_2",
+               "0.333_333_333_333_333_333_3", repr(0.1), "0.9999999999999999",
+               "-0.0", "4.9406564584124654e-324", ".5", "\u0660.\u0665"]
+    p = tmp_path / "pts.txt"
+    p.write_text("\n".join(" ".join(tokens[i:i + 4]) for i in range(0, len(tokens), 4)),
+                 encoding="utf-8")
+    got = read_pointset(str(p)).points.reshape(-1)
+    want = np.array([float(t) for t in tokens])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_written_measure_text(tmp_path):
+    p = tmp_path / "m.txt"
+    write_measure(str(p), DiscreteMeasure([[0.5, 0.1], [0.25, 1.0]], [0.75, 0.25]))
+    assert p.read_text() == "# d=2 atoms=2\n0.75 0.5 0.1\n0.25 0.25 1.0\n"
+
+
+def test_empty_manifest_reports_no_cells(tmp_path):
+    man = tmp_path / "manifest.txt"
+    man.write_text("# no sets\n\n")
+    code, rep = run(["report", "--manifest", str(man), "--seed", "1"])
+    assert code == 0
+    assert not [r for r in rep.records if "set" in r]
