@@ -401,3 +401,19 @@ def test_empty_manifest_reports_no_cells(tmp_path):
     code, rep = run(["report", "--manifest", str(man), "--seed", "1"])
     assert code == 0
     assert not [r for r in rep.records if "set" in r]
+
+
+def test_measure_total_adds_left_to_right(tmp_path):
+    # np.sum's pairwise order gives another total for these probabilities,
+    # and so other bits after renormalisation
+    rng = np.random.default_rng(0)
+    probs = rng.random(40)
+    probs = probs / probs.sum() * (1 + 3e-10)
+    atoms = rng.random((40, 2))
+    m = tmp_path / "m.txt"
+    m.write_text("".join(f"{p!r} {a!r} {b!r}\n"
+                         for p, (a, b) in zip(probs.tolist(), atoms.tolist())))
+    total = sum(probs.tolist())
+    assert total != np.sum(probs)
+    got = read_measure(str(m)).probabilities
+    assert got.view(np.int64).tolist() == (probs / total).view(np.int64).tolist()
