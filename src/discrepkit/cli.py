@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -63,48 +64,53 @@ class ParseError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
-def _data_rows(path: str) -> list:
-    """``(line number, tokens)`` of each data line of the file at ``path``;
-    blank lines and lines starting with '#' are skipped."""
+def _data_rows(path: str):
+    """``(line number, tokens)`` of each data line of the file at ``path``,
+    one line at a time; blank lines and lines starting with '#' are skipped.
+    The file is read when this is called."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    return [(lineno, line.split()) for lineno, raw in enumerate(lines, start=1)
-            if (line := raw.strip()) and not line.startswith("#")]
+    return ((lineno, line.split()) for lineno, raw in enumerate(lines, start=1)
+            if (line := raw.strip()) and not line.startswith("#"))
 
 
-def _matrix(path: str, rows: list) -> np.ndarray:
-    """Equal-width data rows as one float array, tokens read as float() reads
-    them; otherwise a ParseError naming the first line that does not parse."""
-    if not rows:
-        raise ParseError(f"{path}: no data lines")
+def _matrix(path: str, rows) -> tuple[np.ndarray, list]:
+    """Equal-width data rows as one float array, each token read by float(),
+    row by row, and their line numbers; otherwise a ParseError naming the
+    first line that does not parse."""
+    linenos, first, last = [], 0, 0
+
+    def checked():  # stops after a row of another width, once its tokens are read
+        nonlocal first, last
+        for lineno, row in rows:
+            if last != first:
+                break
+            linenos.append(lineno)
+            first, last = first or len(row), len(row)
+            yield row
     try:
-        return np.array([tokens for _, tokens in rows], dtype=np.float64)
-    except ValueError:
-        width = len(rows[0][1])
-        for lineno, tokens in rows:
-            try:
-                np.array(tokens, dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if len(tokens) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} values, "
-                                 f"got {len(tokens)}") from None
-        raise
+        flat = np.fromiter(map(float, chain.from_iterable(checked())), np.float64)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{linenos[-1]}: {exc}") from None
+    if not linenos:
+        raise ParseError(f"{path}: no data lines")
+    if last != first:
+        raise ParseError(f"{path}:{linenos[-1]}: expected {first} values, got {last}")
+    return flat.reshape(len(linenos), -1), linenos
 
 
-def _check(path: str, rows: list, values: np.ndarray, bad: np.ndarray, reason: str) -> None:
-    """ParseError at the first line of ``rows`` with a ``bad`` value;
+def _check(path: str, linenos: list, values: np.ndarray, bad: np.ndarray, reason: str) -> None:
+    """ParseError at the first of the rows' ``linenos`` with a ``bad`` value;
     ``reason`` formats that value."""
     at = np.argwhere(bad)
     if at.size:
-        raise ParseError(f"{path}:{rows[at[0][0]][0]}: "
+        raise ParseError(f"{path}:{linenos[at[0][0]]}: "
                          + reason.format(float(values[tuple(at[0])])))
 
 
 def read_pointset(path: str) -> PointSet:
-    rows = _data_rows(path)
-    X = _matrix(path, rows)
-    _check(path, rows, X, ~((X >= 0.0) & (X < 1.0)), "coordinate {!r} outside [0, 1)")
+    X, linenos = _matrix(path, _data_rows(path))
+    _check(path, linenos, X, ~((X >= 0.0) & (X < 1.0)), "coordinate {!r} outside [0, 1)")
     return PointSet(X)
 
 
@@ -124,13 +130,12 @@ def write_pointset(path: str, X: PointSet) -> None:
 
 
 def read_measure(path: str) -> DiscreteMeasure:
-    rows = _data_rows(path)
-    table = _matrix(path, rows)
+    table, linenos = _matrix(path, _data_rows(path))
     if table.shape[1] < 2:
-        raise ParseError(f"{path}:{rows[0][0]}: need a probability and coordinates")
+        raise ParseError(f"{path}:{linenos[0]}: need a probability and coordinates")
     p, atoms = table[:, 0], table[:, 1:]
-    _check(path, rows, p, p < 0.0, "negative probability {!r}")
-    _check(path, rows, atoms, ~((atoms >= 0.0) & (atoms <= 1.0)),
+    _check(path, linenos, p, p < 0.0, "negative probability {!r}")
+    _check(path, linenos, atoms, ~((atoms >= 0.0) & (atoms <= 1.0)),
            "coordinate {!r} outside [0, 1]")
     total = sum(p.tolist())  # left to right; np.sum's pairwise order changes p / total
     if abs(total - 1.0) > 1e-9:
@@ -147,14 +152,14 @@ def write_measure(path: str, P: DiscreteMeasure) -> None:
 
 
 def read_marginals(path: str) -> MarginalCDF:
-    rows = _data_rows(path)
+    rows = list(_data_rows(path))
     if not rows:
         raise ParseError(f"{path}: no data lines")
     tables = []
     for lineno, tokens in rows:
         if len(tokens) < 4 or len(tokens) % 2 != 0:
             raise ParseError(f"{path}:{lineno}: need knot/value pairs")
-        pairs = _matrix(path, [(lineno, tokens)]).reshape(-1, 2)
+        pairs = _matrix(path, [(lineno, tokens)])[0].reshape(-1, 2)
         tables.append((pairs[:, 0], pairs[:, 1]))
     try:
         return MarginalCDF(tables)

@@ -119,10 +119,14 @@ def cover_bounds(X: PointSet, delta: float, cap: int = 200_000_000) -> BoundResu
 
     The lower bound is the best open- or closed-box local discrepancy over
     the cover corners, each an achieved value and hence sound; adding delta
-    on top is valid by the bracketing property.
+    on top is valid by the bracketing property.  Both sides search one axes
+    list, so where both stream and no point sits on a level (open and closed
+    cells agree) one walk of the counts serves both; the closed maximum is
+    the negated first minimum of mu - c, bitwise since fl(c - mu) = -fl(mu - c).
     """
     cover = build_delta_cover(X.d, delta, cap)
-    res = _grid_star(X, [cover.levels] * X.d, [cover.levels] * X.d)
+    axes = [cover.levels] * X.d
+    res = _grid_star(X, axes, axes)
     return BoundResult(res.value, res.value + delta, res.witness,
                        {"delta": delta, "cover_size": cover.size,
                         "entropy_size_bound": cover.entropy_size_bound,

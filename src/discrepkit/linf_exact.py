@@ -12,8 +12,10 @@ module is a strategy for searching those grids:
   (Thiemard's bracketing) and only the blocks it cannot prune are refined,
   when that costs less than the grid; otherwise, and for signed weights, the
   grid is counted and searched by prefix sums over chunks of whole rows, so
-  memory is one chunk (``pointset._CHUNK``).  Also handles a continuous
-  marginal distribution for the volume.
+  memory is one chunk (``pointset._CHUNK``).  Both sides of a delta-cover
+  share one walk when no point sits on a level: the closed maximum is the
+  first argmin of mu - c negated, bitwise as fl(c - mu) = -fl(mu - c).  Also
+  handles a continuous marginal distribution for the volume.
 * :func:`star_2d`, :func:`star_3d` -- grid enumeration, which outran the
   O(n^2) and O(n^3) sweeps of De Clerck and Bundschuh-Zhu at every size tried.
 * :func:`star_dem` -- the decomposition scheme of Dobkin, Eppstein and
@@ -240,12 +242,13 @@ def _refine(blocks: np.ndarray, shape: tuple, mu_axes: list[np.ndarray], cells: 
 
 
 def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.ndarray,
-                   w: np.ndarray | None, side: str, n: float) -> tuple[float, tuple]:
-    """(max, index) over the corner grid ``axes`` of the open (mu - weight) or
-    closed (weight - mu) local discrepancy, weights ``w`` (unit counts with
-    None) over ``n``.  mu is the product of per-axis factors, taken left to
-    right as :func:`local_values` takes it, so the maximum is bitwise the best
-    value any corner recomputes to, and ties go to the first corner in grid order.
+                   w: np.ndarray | None, sides: tuple, n: float) -> list[tuple[float, tuple]]:
+    """(max, index) of each side in ``sides`` over the corner grid ``axes`` of
+    the open (mu - weight) or closed (weight - mu) local discrepancy, weights
+    ``w`` (unit counts with None) over ``n``.  mu is the product of per-axis
+    factors, taken left to right as :func:`local_values` takes it, so a maximum
+    is bitwise the best value any corner recomputes to, and ties go to the
+    first corner in grid order.
 
     Unit counts with nondecreasing factors (never negative: coordinates or
     distribution values) first bracket the grid (:func:`_bracket_blocks`):
@@ -254,21 +257,32 @@ def _grid_side_max(axes: list[np.ndarray], mu_axes: list[np.ndarray], pts: np.nd
     are refined (:func:`_refine`) when their measured work, blocks times
     (2^d + n*d), is below the grid's corner count.  Otherwise, and always
     with weights, whose signs void the bound, the grid is searched chunk by
-    chunk as :func:`_grid_rows` counts it."""
+    chunk as :func:`_grid_rows` counts it, on mu - weight: the open maximum
+    is its first argmax, the closed one its first argmin negated, bitwise as
+    fl(c - mu) = -fl(mu - c) (a zero may read -0.0).  So two streamed sides
+    whose cells agree (no point on a level) share one walk and its products."""
     shape = tuple(len(a) for a in axes)
-    if w is None and all(np.all(np.diff(m) >= 0) for m in mu_axes):
-        blocks = _bracket_blocks(axes, mu_axes, pts, side, n)
-        if len(blocks) * (2 ** len(axes) + pts.shape[0] * len(axes)) < math.prod(shape):
-            return _refine(blocks, shape, mu_axes, _grid_cells(axes, pts, side), side, n)
-    best, best_flat = -np.inf, 0
-    for r0, H in _grid_rows(shape, _grid_cells(axes, pts, side), w):
-        mu = reduce(np.multiply.outer, [mu_axes[0][r0 : r0 + len(H)], *mu_axes[1:]])
-        c = np.divide(H, n)
-        vals = np.subtract(mu, c, out=c) if side == "open" else np.subtract(c, mu, out=c)
-        pos = int(np.argmax(vals))
-        if vals.flat[pos] > best:
-            best, best_flat = float(vals.flat[pos]), pos + r0 * H[0].size
-    return best, np.unravel_index(best_flat, shape)
+    found, cells = {}, {}
+    for side in sides:
+        cells[side] = _grid_cells(axes, pts, side)
+        if w is None and all(np.all(np.diff(m) >= 0) for m in mu_axes):
+            blocks = _bracket_blocks(axes, mu_axes, pts, side, n)
+            if len(blocks) * (2 ** len(axes) + pts.shape[0] * len(axes)) < math.prod(shape):
+                found[side] = _refine(blocks, shape, mu_axes, cells.pop(side), side, n)
+    shared = len(cells) == 2 and np.array_equal(*cells.values())
+    for walk in [list(cells)] if shared else [[s] for s in cells]:
+        best = dict.fromkeys(walk, (-np.inf, 0))
+        for r0, H in _grid_rows(shape, cells[walk[0]], w):
+            mu = reduce(np.multiply.outer, [mu_axes[0][r0 : r0 + len(H)], *mu_axes[1:]])
+            c = np.divide(H, n)
+            vals = np.subtract(mu, c, out=c)  # not into mu: at d = 1 it views mu_axes[0]
+            for side in walk:
+                pos = int(np.argmax(vals) if side == "open" else np.argmin(vals))
+                v = float(vals.flat[pos]) if side == "open" else -float(vals.flat[pos])
+                if v > best[side][0]:
+                    best[side] = (v, pos + r0 * H[0].size)
+        found.update((s, (v, np.unravel_index(f, shape))) for s, (v, f) in best.items())
+    return [found[s] for s in sides]
 
 
 def star_grid_enum(nu, G: MarginalCDF | None = None,
@@ -300,21 +314,19 @@ def star_grid_enum(nu, G: MarginalCDF | None = None,
 
 def _grid_star(nu, open_axes: list[np.ndarray], closed_axes: list[np.ndarray],
                G: MarginalCDF | None = None) -> StarResult:
-    """Best open-box corner on ``open_axes`` and best closed-box corner on
-    ``closed_axes``; the better of the two, recomputed at its corner.  Each
-    side is searched in chunks of whole rows, so memory is one
-    ``pointset._CHUNK``."""
+    """Best open-box corner on ``open_axes`` and closed-box corner on
+    ``closed_axes``, the better recomputed at its corner.  One axes list for
+    both (a delta-cover) goes to one :func:`_grid_side_max`, to share a walk."""
     pts, w, is_plain = _coerce(nu)
     wts, n = (None, pts.shape[0]) if is_plain else (w, 1.0)
-    best, corner = [], []
-    for axes, side in ((open_axes, "open"), (closed_axes, "closed")):
+    found = {}
+    for axes, sides in ([(open_axes, ("open", "closed"))] if open_axes is closed_axes
+                        else [(open_axes, ("open",)), (closed_axes, ("closed",))]):
         mu = axes if G is None else [G.marginal(j, a) for j, a in enumerate(axes)]
-        val, idx = _grid_side_max(axes, mu, pts, wts, side, n)
-        best.append(val)
-        corner.append(np.array([a[i] for a, i in zip(axes, idx)]))
-    if best[0] >= best[1]:
-        return _result_at(nu, corner[0], "open", G)
-    return _result_at(nu, corner[1], "closed", G)
+        for side, (val, idx) in zip(sides, _grid_side_max(axes, mu, pts, wts, sides, n)):
+            found[side] = val, np.array([a[i] for a, i in zip(axes, idx)])
+    kind = "open" if found["open"][0] >= found["closed"][0] else "closed"
+    return _result_at(nu, found[kind][1], kind, G)
 
 
 def star_2d(X: PointSet) -> StarResult:

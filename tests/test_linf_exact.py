@@ -7,11 +7,12 @@ import oracles
 from conftest import random_pointset, random_pointset_with_ties
 from discrepkit import (BudgetExceededError, MarginalCDF, PointSet,
                         WeightedPointSet, dem_cost_estimate, halton,
-                        local_discrepancy, midpoint_set, star_1d, star_2d,
-                        star_3d, star_dem, star_exact, star_grid_enum)
+                        local_discrepancy, midpoint_set, rank1_lattice, star_1d,
+                        star_2d, star_3d, star_dem, star_exact, star_grid_enum)
 from discrepkit import linf_exact, pointset
 from discrepkit.linf_approx import build_delta_cover, cover_bounds
-from discrepkit.linf_exact import _bracket_blocks, _grid_side_max, _refine, local_values
+from discrepkit.linf_exact import (_bracket_blocks, _grid_side_max, _grid_star, _refine,
+                                   local_values)
 from discrepkit.pointset import _grid_axes, _grid_cells, _grid_rows
 
 
@@ -225,7 +226,7 @@ class TestStreamedGrid:
             for w, n in ((None, 9), (rng.normal(size=9), 1.0)):
                 for side in ("open", "closed"):
                     want = full_side_max(axes, axes, pts, w, side, n)
-                    got = _grid_side_max(axes, axes, pts, w, side, n)
+                    got = _grid_side_max(axes, axes, pts, w, (side,), n)[0]
                     assert got[0] == want[0] and tuple(got[1]) == tuple(want[1])
 
     def test_count_tensor_matches_cumsum(self, rng):
@@ -305,6 +306,66 @@ class TestBracketSearch:
         got = star_grid_enum(W)
         assert (got.value, got.witness.tolist(), got.kind) == full_grid_star(W, aug, plain)
 
+
+def level_sets(rng, n, d, m):
+    """Uniform, Halton, lattice, duplicate-point and mirrored sets (the last
+    swaps axes 0 and 1, so tied corners abound), then the first and last
+    quantized onto the levels k/m, where open and closed cells differ."""
+    u = rng.random((n // 2, d))
+    mirror = np.concatenate([u, u[:, [1, 0, *range(2, d)]] if d > 1 else u / 2])
+    sets = [rng.random((n, d)), halton(n, d).points,
+            rank1_lattice(n, [1, *rng.choice(np.arange(3, n, 2), d - 1)]).points,
+            np.concatenate([u, u]), mirror]
+    return sets + [np.floor(p * m) / m for p in (sets[0], mirror)]
+
+
+class TestSharedWalk:
+    """Both sides of one axes list in one walk of the counts: the open side
+    the first argmax of mu - c, the closed side its first argmin negated.
+    Against two single-side walks bit for bit and one whole count tensor per
+    side, with bracketing bypassed so that every side streams."""
+
+    @pytest.fixture(autouse=True, params=[1, 7, 1 << 15])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(pointset, "_CHUNK", request.param)
+        monkeypatch.setattr(linf_exact, "_bracket_blocks", lambda *a: range(1 << 62))
+
+    def test_matches_single_side_walks_and_full_tensor(self, rng):
+        for d, m in zip(range(1, 8), (40, 30, 12, 7, 5, 4, 3)):
+            levels = np.arange(1, m + 1) / m
+            levels[-1] = 1.0
+            kept, axes = levels.copy(), [levels] * d
+            for pts in level_sets(rng, 24, d, m):
+                both = _grid_side_max(axes, axes, pts, None, ("open", "closed"), 24)
+                one = [_grid_side_max(axes, axes, pts, None, (s,), 24)[0]
+                       for s in ("open", "closed")]
+                assert [(v.hex(), tuple(i)) for v, i in both] == \
+                    [(v.hex(), tuple(i)) for v, i in one]
+                full = [full_side_max(axes, axes, pts, None, s, 24) for s in ("open", "closed")]
+                assert [(v, tuple(i)) for v, i in both] == [(v, tuple(i)) for v, i in full]
+                got = _grid_star(PointSet(pts), axes, axes)
+                assert (got.value, got.witness.tolist(), got.kind) == \
+                    full_grid_star(PointSet(pts), axes, axes)
+            # at d = 1 the chunk's volume product is a view of the levels
+            assert levels.tobytes() == kept.tobytes()
+
+
+
+def test_cover_walks_the_counts_once_unless_a_point_is_on_a_level(rng, monkeypatch):
+    # both sides stream after their coarse passes; they share one walk of
+    # the 15^3 cover unless a quantized point sits on a level k/15
+    shapes = []
+    monkeypatch.setattr(linf_exact, "_grid_rows",
+                        lambda shape, *a: shapes.append(shape) or _grid_rows(shape, *a))
+    monkeypatch.setattr(linf_exact, "_refine", None)
+    X = PointSet(rng.random((64, 3)))
+    levels = [build_delta_cover(3, 0.2).levels] * 3
+    for pts, walks in ((X.points, 1), (np.floor(X.points * 15) / 15, 2)):
+        shapes.clear()
+        got = cover_bounds(PointSet(pts), 0.2)
+        assert shapes.count((8, 8, 8)) == 2 and shapes.count((15, 15, 15)) == walks
+        assert (got.lower, got.witness.tolist(), got.params["kind"]) == \
+            full_grid_star(PointSet(pts), levels, levels)
 
 class TestMarginalCDF:
     def test_rejects_non_finite_tables(self):
