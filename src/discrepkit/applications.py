@@ -9,8 +9,10 @@ constraints are indexed by the supporting boxes, P's closed critical
 boxes, solved as its dual with one row per support atom, or, by default, the
 nearest-mass heuristic (each atom's mass moves to its nearest kept atom).
 Either is set up once per reduction: the box table, or P's closed grid on
-which every nearest-mass candidate is scored, since a candidate's atoms are
-P's own.
+which nearest-mass candidates are scored, since their atoms are P's own.
+One batched scorer takes all candidates of a greedy step: the LP solves
+them one by one, the nearest-mass heuristic walks P's grid once per batch
+of candidates, one lane each.
 
 Permutation search in the style of de Rainville, Gagne, Teytaud and
 Laurendeau (2012): a component-by-component (mu+lambda) evolutionary search
@@ -35,7 +37,7 @@ from .generators import PermutationConfig, halton, primes, random_permutation
 from .linf_approx import TAConfig, _best_ta, cover_bounds
 from .linf_exact import exact_method, star_exact
 from .pointset import (BudgetExceededError, _as_points, _critical_corners,
-                       _grid_axes, _grid_cells, _grid_rows)
+                       _grid_axes, _grid_cells, _grid_rows, _lanes)
 
 __all__ = [
     "DiscreteMeasure",
@@ -103,16 +105,22 @@ def _check_budget(size: int, unit: str, budget: int, what: str) -> None:
 
 
 def _closed_grid(pts: np.ndarray, budget: int):
-    """(cells, gap) on the plain grid induced by ``pts``, after the distance's
-    budget check on the augmented grid: each point's flat closed cell, and
-    gap(cells, w), the largest |total weight| over the closed boxes with
-    ``w`` deposited at ``cells`` in order, streamed in chunks of rows, so
-    memory is one ``pointset._CHUNK``."""
+    """(cells, gap, lanes) on the plain grid induced by ``pts``, after the
+    distance's budget check on the augmented grid: each point's flat closed
+    cell; gap(cells, w), the largest |total weight| over the closed boxes
+    with ``w`` deposited at ``cells`` in order, per lane if ``w`` has a lane
+    axis, streamed in chunks of rows, so memory is one ``pointset._CHUNK``
+    per lane; and the lanes one walk takes (``pointset._lanes``)."""
     plain, aug = _grid_axes(pts)
     _check_budget(math.prod(map(len, aug)), "grid corners", budget, "two-measure distance")
     shape = tuple(map(len, plain))
     cells = _grid_cells(plain, pts, "closed")
-    return cells, lambda c, w: max(float(np.abs(H).max()) for _, H in _grid_rows(shape, c, w))
+
+    def gap(c, w):  # the max over axis 0 first runs along whole rows
+        return np.max([np.abs(H, out=H).max(axis=0).reshape((-1,) + w.shape[1:]).max(axis=0)
+                       for _, H in _grid_rows(shape, c, w)], axis=0)
+
+    return cells, gap, _lanes(shape)
 
 
 def two_measure_star_disc(P: DiscreteMeasure, Q: DiscreteMeasure,
@@ -131,8 +139,8 @@ def two_measure_star_disc(P: DiscreteMeasure, Q: DiscreteMeasure,
     """
     if P.d != Q.d:
         raise ValueError("measures must share the dimension")
-    cells, gap = _closed_grid(np.vstack([P.atoms, Q.atoms]), budget)
-    return gap(cells, np.concatenate([P.probabilities, -Q.probabilities]))
+    cells, gap, _ = _closed_grid(np.vstack([P.atoms, Q.atoms]), budget)
+    return float(gap(cells, np.concatenate([P.probabilities, -Q.probabilities])))
 
 
 def _supporting_boxes(P: DiscreteMeasure, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,40 +218,72 @@ class ReductionResult:
     trace: tuple  # ((support size, distance), ...)
 
 
-def _nearest_mass_weights(P: DiscreteMeasure, support_idx: list) -> np.ndarray:
-    """Fast heuristic weights: each atom's mass goes to its nearest kept atom."""
-    Y = P.atoms[support_idx]
-    d2 = np.sum((P.atoms[:, None, :] - Y[None, :, :]) ** 2, axis=2)
-    assign = np.argmin(d2, axis=1)
-    q = np.zeros(len(support_idx))
-    np.add.at(q, assign, P.probabilities)
-    return q
-
-
 def _support_scorer(P: DiscreteMeasure, exact_inner: bool, budget: int):
-    """The inner problem of one reduction of P, set up once: a function from
-    a support to (q, t) on that support sorted increasingly, q in that order.
+    """The inner problem of one reduction of P, set up once: a function
+    score(kept, cands, grow) yielding, for each candidate c of one greedy
+    step, (q, t) on the support kept + [c] (grow) or kept less c, sorted
+    increasingly, q in that order.
 
-    With ``exact_inner`` q is LP-optimal over P's supporting boxes.  Else q
-    is nearest-mass and t is ``two_measure_star_disc`` of P and q, to the
-    bit: the support's atoms are P's, so the union grid is P's grid and
-    [p, -q] goes to the cells of P's atoms and then of the support's.
+    With ``exact_inner`` q is LP-optimal over P's supporting boxes, one
+    solve per support.  Else q is nearest-mass (each atom's mass goes to the
+    first of its nearest support atoms, summed in atom order) and t is
+    ``two_measure_star_disc`` of P and q, to the bit: P's atoms have
+    distinct closed cells, so a candidate is one lane of P's grid holding
+    p_i - q_i at atom i's cell, and a batch of candidates is one walk.
     """
+    def support(kept, c, grow):
+        return sorted(kept + [c]) if grow else [i for i in kept if i != c]
+
     if exact_inner:
         member, mass = _supporting_boxes(P, budget)
-        return lambda support: _inner_lp(member[:, sorted(support)], mass)
-    cells, gap = _closed_grid(P.atoms, budget)
+        return lambda kept, cands, grow: (
+            _inner_lp(member[:, support(kept, c, grow)], mass) for c in cands)
+    cells, gap, lanes = _closed_grid(P.atoms, budget)
+    X, p = P.atoms, P.probabilities
 
-    def nearest(support):
-        support = sorted(support)
-        q = _nearest_mass_weights(P, support)
-        return q, gap(np.concatenate([cells, cells[support]]),
-                      np.concatenate([P.probabilities, -q]))
+    def d2(cols):  # squared distances from every atom to the atoms cols
+        return np.sum((X[:, None, :] - X[None, cols, :]) ** 2, axis=2)
 
-    return nearest
+    def nearest_two(kept):  # each atom's first two (d2, atom) over kept, in that order
+        dist, near = np.full((P.n, 2), np.inf), np.full((P.n, 2), P.n)
+        for b0 in range(0, len(kept), lanes):
+            cols = kept[b0 : b0 + lanes]
+            dd, nn = np.hstack([dist, d2(cols)]), np.hstack([near, np.tile(cols, (P.n, 1))])
+            o = dd.argsort(axis=1, kind="stable")[:, :2]
+            dist, near = np.take_along_axis(dd, o, 1), np.take_along_axis(nn, o, 1)
+        return dist, near
+
+    def nearest_mass(kept, cands, grow):
+        kept = sorted(kept)
+        dist, near = nearest_two(np.array(kept, dtype=np.int64))
+        for b0 in range(0, len(cands), lanes):
+            c = np.array(cands[b0 : b0 + lanes], dtype=np.int64)
+            if grow:  # c takes the atoms it is closer to, or as close with a smaller index
+                dc = d2(c)
+                to = np.where((dc < dist[:, :1]) | (dc == dist[:, :1]) & (c < near[:, :1]),
+                              c, near[:, :1])
+            else:  # a dropped atom's atoms go to their second-nearest
+                to = np.where(near[:, :1] == c, near[:, 1:], near[:, :1])
+            q = np.zeros((P.n, len(c)))
+            np.add.at(q.reshape(-1), (to * len(c) + np.arange(len(c))).ravel(),
+                      np.repeat(p, len(c)))
+            t = gap(cells, (0.0 + p)[:, None] - q)
+            for b, cb in enumerate(c.tolist()):
+                yield q[support(kept, cb, grow), b], float(t[b])
+
+    return nearest_mass
 
 
 _TIE = 1e-9  # candidates this close to the incumbent tie; the earlier wins
+
+
+def _pick(cands: list, scored) -> tuple:
+    """(candidate, t, q) of the first candidate no later one beats by _TIE."""
+    best = None
+    for cand, (qc, t) in zip(cands, scored):
+        if best is None or t < best[1] - _TIE:
+            best = (cand, t, qc)
+    return best
 
 
 def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
@@ -255,15 +295,9 @@ def forward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
     chosen: list[int] = []
     trace = []
     while len(chosen) < n:
-        best = None
-        for cand in range(P.n):
-            if cand in chosen:
-                continue
-            qc, t = score(chosen + [cand])
-            if best is None or t < best[1] - _TIE:
-                best = (cand, t, qc)
-        chosen.append(best[0])
-        dist, q = best[1], best[2]
+        cands = [c for c in range(P.n) if c not in chosen]
+        cand, dist, q = _pick(cands, score(chosen, cands, True))
+        chosen.append(cand)
         trace.append((len(chosen), dist))
     idx = sorted(chosen)
     return ReductionResult(DiscreteMeasure(P.atoms[idx], q), tuple(idx), dist,
@@ -279,15 +313,10 @@ def backward_selection(P: DiscreteMeasure, n: int, exact_inner: bool = False,
     chosen = list(range(P.n))
     trace = [(P.n, 0.0)]
     if n == P.n:  # nothing to remove, but the weights still come from a solve
-        q, dist = score(chosen)
+        (q, dist), = score(chosen[:-1], chosen[-1:], True)  # the last atom added to the rest
     while len(chosen) > n:
-        best = None
-        for cand in chosen:
-            qc, t = score([i for i in chosen if i != cand])
-            if best is None or t < best[1] - _TIE:
-                best = (cand, t, qc)
-        chosen.remove(best[0])
-        dist, q = best[1], best[2]
+        cand, dist, q = _pick(chosen, score(chosen, chosen, False))
+        chosen.remove(cand)
         trace.append((len(chosen), dist))
     return ReductionResult(DiscreteMeasure(P.atoms[chosen], q), tuple(chosen), dist,
                            tuple(trace))

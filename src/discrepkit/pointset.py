@@ -273,9 +273,22 @@ def _grid_cells(axes: list[np.ndarray], pts: np.ndarray,
 # holds at least 2^15 corners or one row, whichever is larger.
 _CHUNK = 1 << 15
 
+# Entries per chunk tensor when several weightings (lanes) walk one grid
+# together: 2 MiB.  Nearest-mass forward reduction of 100 atoms in d = 2 to
+# 10, best of 5 on 2 cores, at 2^15..2^20 entries: 96, 81, 60, 49, 44, 39 ms
+# (104 ms with one walk per candidate).
+_LANES = 1 << 18
+
 # Entries per slice from which a prefix along an axis runs as one add per
 # slice, 2-5 times faster than np.cumsum; thinner slices cost a call each.
 _SLICED = 1024
+
+
+def _lanes(shape: tuple) -> int:
+    """Lanes a walk over the grid ``shape`` takes at once: as many as keep
+    each chunk's tensor within ``_LANES`` entries, at least one."""
+    row = math.prod(shape[1:])
+    return max(1, _LANES // (min(shape[0], max(1, _CHUNK // row)) * row))
 
 
 def _grid_rows(shape: tuple, cells: np.ndarray, w: np.ndarray | None):
@@ -287,20 +300,25 @@ def _grid_rows(shape: tuple, cells: np.ndarray, w: np.ndarray | None):
     0 continuing from the chunk before.  Each entry adds the operands of one
     np.cumsum per axis of the whole tensor in its order: bitwise.  Every
     grid count in the package is formed here.
+
+    ``w`` may have a trailing lane axis, one weighting per lane; H then has
+    it too and prefix sums run along the grid axes only, so each lane of H
+    is bitwise the walk of its weights alone, a chunk holding the same rows.
     """
     row = math.prod(shape[1:])
     step = max(1, _CHUNK // row)
     order = cells.argsort(kind="stable")  # -1s first, then each chunk's deposits as a slice
     cells, w = cells[order], None if w is None else w[order]
-    carry = np.zeros(shape[1:], dtype=np.int32 if w is None else np.float64)
+    lanes = () if w is None else w.shape[1:]
+    carry = np.zeros(shape[1:] + lanes, dtype=np.int32 if w is None else np.float64)
     for r0 in range(0, shape[0], step):
         lo, hi = cells.searchsorted([r0 * row, (r0 + step) * row])
-        H = np.zeros((min(step, shape[0] - r0),) + shape[1:], dtype=carry.dtype)
-        np.add.at(H.reshape(-1), cells[lo:hi] - r0 * row,
+        H = np.zeros((min(step, shape[0] - r0),) + carry.shape, dtype=carry.dtype)
+        np.add.at(H.reshape((-1,) + lanes), cells[lo:hi] - r0 * row,
                   np.int32(1) if w is None else w[lo:hi])
         if r0:
             H[0] += carry
-        for ax in range(H.ndim):
+        for ax in range(len(shape)):
             if H.size < _SLICED * H.shape[ax]:
                 H.cumsum(axis=ax, out=H)
             else:

@@ -350,3 +350,21 @@ def inner_optimum_highs(atoms, probs, support):
                   method="highs")
     assert res.status == 0, res.message
     return res.x[:m], float(res.fun)
+
+
+def nearest_mass(atoms, probs, support):
+    """Nearest-mass weights on P's atoms[support]: each atom's mass goes to
+    the first support atom at the smallest squared distance, with the
+    support's masses summed in atom order from 0.0."""
+    pts = [tuple(map(float, x)) for x in np.atleast_2d(atoms)]
+    q = [0.0] * len(support)
+    for x, p in zip(pts, probs):
+        best, best_k = None, None
+        for k, s in enumerate(support):
+            dist = 0.0
+            for c, yc in zip(x, pts[s]):
+                dist += (c - yc) * (c - yc)
+            if best is None or dist < best:
+                best, best_k = dist, k
+        q[best_k] += float(p)
+    return q

@@ -384,6 +384,23 @@ class TestSelection:
         full = forward_selection(DiscreteMeasure.uniform(P.atoms[:6]), 6, exact_inner=True)
         assert full.distance == 0.0 and not np.signbit(full.distance)
 
+    def test_nearest_mass_reduction_reaches_positive_zero(self, tmp_path):
+        # a full support reaches distance zero, and +0.0 rather than -0.0,
+        # in both directions and in the reduce command's record
+        P = DiscreteMeasure(np.random.default_rng(43).random((9, 2)),
+                            np.random.default_rng(44).dirichlet(np.ones(9)))
+        for fn in (forward_selection, backward_selection):
+            res = fn(P, P.n)
+            assert res.distance == 0.0 and not np.signbit(res.distance)
+        path = tmp_path / "measure.txt"
+        write_measure(str(path), P)
+        for method in ("forward", "backward"):
+            code, rep = run_command(["reduce", "--input", str(path), "--n", str(P.n),
+                                     "--method", method])
+            assert code == 0
+            dist = rep.records[0]["distance"]
+            assert dist == 0.0 and not np.signbit(dist)
+
     def test_trace_nonincreasing_observed(self):
         # empirical property of the greedy trace on this seeded family; the
         # general claim is not guaranteed, so the seeds stay pinned
@@ -395,6 +412,83 @@ class TestSelection:
             res = forward_selection(P, N, exact_inner=False)
             dists = [x for _, x in res.trace]
             assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
+
+
+def nearest_mass_family():
+    """Measures whose nearest-mass steps meet argmin ties: d = 1-3, uniform
+    random, equidistant and lattice atoms with atoms at 0 and 1, uniform
+    and Dirichlet weights."""
+    rng = np.random.default_rng(20261020)
+    out = []
+    for i in range(18):
+        d, kind = 1 + i % 3, (i // 3) % 3
+        if kind == 0:
+            atoms = rng.random((int(rng.integers(2, 12)), d))
+        elif kind == 1:  # equidistant on each axis, 0 and 1 included
+            atoms = np.unique(rng.integers(0, 5, size=(int(rng.integers(2, 12)), d)) / 4, axis=0)
+        else:  # a full lattice: every atom has tied neighbours
+            atoms = np.array(list(itertools.product(*[np.linspace(0, 1, 3)] * d)))
+        w = rng.dirichlet(np.ones(len(atoms))) if i % 2 else np.full(len(atoms), 1 / len(atoms))
+        out.append(DiscreteMeasure(atoms, w))
+    return out
+
+
+class TestNearestMassSteps:
+    """Every candidate of every nearest-mass step, forward and backward,
+    against the pure-Python oracle and the public distance, bitwise, with
+    candidates scored one lane per walk, seven, or as many as fit."""
+
+    @pytest.mark.parametrize("lanes", [1, 7, None])
+    def test_every_candidate_matches_oracle(self, lanes, monkeypatch):
+        steps = []
+        scorer = applications._support_scorer
+
+        def recording(P, exact_inner, budget):
+            score = scorer(P, exact_inner, budget)
+
+            def run(kept, cands, grow):
+                got = list(score(kept, cands, grow))
+                steps.append((P, list(kept), list(cands), grow, got))
+                return iter(got)
+
+            return run
+
+        monkeypatch.setattr(applications, "_support_scorer", recording)
+        for P in nearest_mass_family():
+            if lanes is not None:  # the grid is one chunk: 7 lanes are 7 grids
+                grid = np.prod([len(np.unique(a)) for a in P.atoms.T])
+                monkeypatch.setattr(pointset, "_LANES", lanes * int(grid))
+                assert pointset._lanes(tuple(len(np.unique(a)) for a in P.atoms.T)) == lanes
+            forward_selection(P, P.n)
+            backward_selection(P, 1)
+            backward_selection(P, P.n)  # the full support, as one growing step
+        assert len(steps) == 2 * sum(P.n for P in nearest_mass_family())
+        for P, kept, cands, grow, got in steps:
+            assert len(got) == len(cands)
+            for c, (q, t) in zip(cands, got):
+                support = sorted(kept + [c]) if grow else [i for i in kept if i != c]
+                want = np.array(oracles.nearest_mass(P.atoms, P.probabilities, support))
+                assert q.view(np.int64).tolist() == want.view(np.int64).tolist()
+                Q = DiscreteMeasure(P.atoms[support], q)
+                assert t.hex() == two_measure_star_disc(P, Q).hex()
+
+    def test_lane_tensor_within_budget(self, monkeypatch):
+        # 200 atoms in d = 2: a grid of 40,000 corners walks in chunks of
+        # 163 rows, so 8 candidates share a walk and a step needs 25 walks
+        sizes = []
+
+        def recording(shape, cells, w):
+            for r0, H in _grid_rows(shape, cells, w):
+                sizes.append(H.shape)
+                yield r0, H
+
+        _grid_rows = applications._grid_rows
+        monkeypatch.setattr(applications, "_grid_rows", recording)
+        P = DiscreteMeasure.uniform(np.random.default_rng(47).random((200, 2)))
+        forward_selection(P, 2)
+        assert max(np.prod(s) for s in sizes) <= pointset._LANES
+        assert {s[-1] for s in sizes} == {8, 7}  # 200 and 199 candidates, 8 a walk
+        assert len(sizes) == 2 * (25 + 25)  # two chunks per walk
 
 
 class TestPermutationOptimizer:

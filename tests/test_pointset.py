@@ -220,6 +220,32 @@ class TestEnumerateCriticalInChunks:
     test_1d_every_grid_value_critical = TestEnumerateCritical.test_1d_every_grid_value_critical
 
 
+class TestGridRowsLanes:
+    """A walk of B lanes against B one-lane walks, bit for bit, with chunks
+    of one and seven corners and the default, and with prefix sums that run
+    as slice adds in the lanes while the one-lane walks take np.cumsum."""
+
+    @pytest.mark.parametrize("chunk, sliced", [(1, 1024), (7, 4), (pointset._CHUNK, 16)])
+    def test_lanes_match_one_lane_walks(self, chunk, sliced, monkeypatch):
+        monkeypatch.setattr(pointset, "_CHUNK", chunk)
+        monkeypatch.setattr(pointset, "_SLICED", sliced)
+        rng = np.random.default_rng(53)
+        for t in range(40):
+            d = 1 + t % 4
+            shape = tuple(int(k) for k in rng.integers(1, [0, 30, 9, 5, 4][d], size=d))
+            n, B = int(rng.integers(1, 25)), int(rng.integers(1, 9))
+            cells = rng.integers(-1, np.prod(shape), size=n)  # -1s and repeats
+            cells[rng.integers(0, n, size=n // 3)] = cells[0]
+            w = rng.normal(size=(n, B))
+            w[rng.random(w.shape) < 0.2] = 0.0
+            lanes = list(pointset._grid_rows(shape, cells, w))
+            for b in range(B):
+                one = list(pointset._grid_rows(shape, cells, w[:, b].copy()))
+                assert [r0 for r0, _ in one] == [r0 for r0, _ in lanes]
+                for (_, H1), (_, H) in zip(one, lanes):
+                    assert H[..., b].tobytes() == H1.tobytes()
+
+
 class TestSnapDown:
     def test_single_point(self):
         X = PointSet([[0.5, 0.5]])
