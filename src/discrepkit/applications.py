@@ -455,7 +455,7 @@ def quality_report(sets: dict, measures: list, exact_budget: int = 50_000_000,
                     try:
                         res = star_exact(X, exact_budget)
                         value = res.value
-                        method = exact_method(X.d)
+                        method = exact_method(X, exact_budget)
                     except BudgetExceededError:
                         cell_seed = seed
                         lower = _best_ta(X, TAConfig(ta_iterations, seed=seed), restarts).lower

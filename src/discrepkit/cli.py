@@ -380,7 +380,7 @@ def _cmd_disc(args, report: RunReport) -> None:
             res = star_grid_enum(X, G, budget=args.budget)
             method = "grid"
         else:
-            method = exact_method(X.d) if args.method == "auto" else args.method
+            method = exact_method(X, args.budget) if args.method == "auto" else args.method
             res = star_by_method(X, method, args.budget)
         report.add(task="disc", measure=m, method=method, value=res.value,
                    witness=res.witness, witness_kind=res.kind,

@@ -314,8 +314,10 @@ def _grid_rows(shape: tuple, cells: np.ndarray, w: np.ndarray | None):
     for r0 in range(0, shape[0], step):
         lo, hi = cells.searchsorted([r0 * row, (r0 + step) * row])
         H = np.zeros((min(step, shape[0] - r0),) + carry.shape, dtype=carry.dtype)
-        np.add.at(H.reshape((-1,) + lanes), cells[lo:hi] - r0 * row,
-                  np.int32(1) if w is None else w[lo:hi])
+        at = cells[lo:hi] - r0 * row
+        if lanes:  # flat index cell * B + lane: each entry's adds keep their order
+            at = (at[:, None] * lanes[0] + np.arange(lanes[0])).ravel()
+        np.add.at(H.reshape(-1), at, np.int32(1) if w is None else w[lo:hi].ravel())
         if r0:
             H[0] += carry
         for ax in range(len(shape)):

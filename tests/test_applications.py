@@ -10,7 +10,7 @@ from discrepkit import (BudgetExceededError, DiscreteMeasure, PermutationConfig,
                         PointSet, applications, backward_selection,
                         forward_selection, halton, midpoint_set, modified_l2_sq,
                         optimal_inner_weights, optimize_halton_permutations,
-                        quality_report, two_measure_star_disc)
+                        quality_report, star_dem, two_measure_star_disc)
 from discrepkit import pointset
 from discrepkit._simplex import LPError, _pivot, solve_lp
 from discrepkit.cli import run_command, write_measure
@@ -524,6 +524,12 @@ class TestQualityReport:
         assert cell.value == pytest.approx(1 / 16, abs=1e-15)
         assert cell.method == "1d"
         assert cell.error is None
+
+    def test_d4_cell_records_the_grid_search(self):
+        X = halton(32, 4)
+        cell = quality_report({"h": X}, ["star-linf"])[0]
+        assert cell.method == "grid" and cell.error is None
+        assert cell.value == star_dem(X).value
 
     def test_budget_fallback_interval(self):
         rng = np.random.default_rng(2)

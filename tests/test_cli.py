@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from discrepkit import DiscreteMeasure, PointSet, midpoint_set
+from discrepkit import DiscreteMeasure, PointSet, halton, midpoint_set, star_dem
 from discrepkit.cli import (ParseError, read_marginals, read_measure,
                             read_pointset, run_command, write_measure,
                             write_pointset)
@@ -123,6 +123,18 @@ class TestCommands:
         assert code == 3
         err = rep.records[-1]["error"]
         assert "2.62e+05 box evaluations" in err and "budget of 1000" in err
+
+    def test_auto_from_d4_records_grid_or_dem(self, tmp_path):
+        # 32 Halton points in d = 4 have 33^4 grid corners, which fit the
+        # default budget; 100 uniform points have 101^4, which do not
+        out = tmp_path / "pts.txt"
+        for X, method in ((halton(32, 4), "grid"),
+                          (PointSet(np.random.default_rng(1).random((100, 4))), "dem")):
+            write_pointset(str(out), X)
+            code, rep = run(["disc", "--input", str(out), "--measure", "star-linf"])
+            assert code == 0
+            assert rep.records[0]["method"] == method
+            assert rep.records[0]["value"] == star_dem(X).value
 
     @pytest.mark.parametrize("method", ["auto", "2d"])
     def test_2d_honours_budget(self, tmp_path, method):

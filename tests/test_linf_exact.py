@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from discrepkit import (BudgetExceededError, MarginalCDF, PointSet,
 from discrepkit import linf_exact, pointset
 from discrepkit.linf_approx import build_delta_cover, cover_bounds
 from discrepkit.linf_exact import (_bracket_blocks, _grid_side_max, _grid_star, _refine,
-                                   local_values)
+                                   exact_method, local_values, star_by_method)
 from discrepkit.pointset import _grid_axes, _grid_cells, _grid_rows
 
 
@@ -226,7 +228,7 @@ class TestStreamedGrid:
             for w, n in ((None, 9), (rng.normal(size=9), 1.0)):
                 for side in ("open", "closed"):
                     want = full_side_max(axes, axes, pts, w, side, n)
-                    got = _grid_side_max(axes, axes, pts, w, (side,), n)[0]
+                    got = _grid_side_max({side: (axes, axes)}, pts, w, n)[side]
                     assert got[0] == want[0] and tuple(got[1]) == tuple(want[1])
 
     def test_count_tensor_matches_cumsum(self, rng):
@@ -248,8 +250,9 @@ class TestStreamedGrid:
 def bracket_side_max(axes, mu_axes, pts, side, n):
     """One side's (max, index) by refining every block the coarse pass
     keeps, whatever the selection rule would choose."""
-    blocks = _bracket_blocks(axes, mu_axes, pts, side, n)
-    return _refine(blocks, tuple(map(len, axes)), mu_axes, _grid_cells(axes, pts, side), side, n)
+    best, blocks, bounds = _bracket_blocks(axes, mu_axes, pts, side, n)
+    return _refine(blocks[bounds >= best], tuple(map(len, axes)), mu_axes,
+                   _grid_cells(axes, pts, side), side, n)
 
 
 class TestBracketSearch:
@@ -319,16 +322,25 @@ def level_sets(rng, n, d, m):
     return sets + [np.floor(p * m) / m for p in (sets[0], mirror)]
 
 
+def keep_every_block(bracket):
+    """The coarse pass with its incumbent, but every corner of the grid kept
+    as a block of bound +inf, so that the side streams."""
+    def run(axes, *a):
+        size = math.prod(map(len, axes))
+        return bracket(axes, *a)[0], np.arange(size), np.full(size, np.inf)
+    return run
+
+
 class TestSharedWalk:
     """Both sides of one axes list in one walk of the counts: the open side
     the first argmax of mu - c, the closed side its first argmin negated.
     Against two single-side walks bit for bit and one whole count tensor per
-    side, with bracketing bypassed so that every side streams."""
+    side, with every block kept so that every side streams."""
 
     @pytest.fixture(autouse=True, params=[1, 7, 1 << 15])
     def small_chunks(self, request, monkeypatch):
         monkeypatch.setattr(pointset, "_CHUNK", request.param)
-        monkeypatch.setattr(linf_exact, "_bracket_blocks", lambda *a: range(1 << 62))
+        monkeypatch.setattr(linf_exact, "_bracket_blocks", keep_every_block(_bracket_blocks))
 
     def test_matches_single_side_walks_and_full_tensor(self, rng):
         for d, m in zip(range(1, 8), (40, 30, 12, 7, 5, 4, 3)):
@@ -336,8 +348,10 @@ class TestSharedWalk:
             levels[-1] = 1.0
             kept, axes = levels.copy(), [levels] * d
             for pts in level_sets(rng, 24, d, m):
-                both = _grid_side_max(axes, axes, pts, None, ("open", "closed"), 24)
-                one = [_grid_side_max(axes, axes, pts, None, (s,), 24)[0]
+                both = _grid_side_max({s: (axes, axes) for s in ("open", "closed")},
+                                      pts, None, 24)
+                both = [both["open"], both["closed"]]
+                one = [_grid_side_max({s: (axes, axes)}, pts, None, 24)[s]
                        for s in ("open", "closed")]
                 assert [(v.hex(), tuple(i)) for v, i in both] == \
                     [(v.hex(), tuple(i)) for v, i in one]
@@ -352,11 +366,12 @@ class TestSharedWalk:
 
 
 def test_cover_walks_the_counts_once_unless_a_point_is_on_a_level(rng, monkeypatch):
-    # both sides stream after their coarse passes; they share one walk of
-    # the 15^3 cover unless a quantized point sits on a level k/15
+    # with both sides made to stream after their coarse passes, they share
+    # one walk of the 15^3 cover unless a quantized point sits on a level k/15
     shapes = []
     monkeypatch.setattr(linf_exact, "_grid_rows",
                         lambda shape, *a: shapes.append(shape) or _grid_rows(shape, *a))
+    monkeypatch.setattr(linf_exact, "_bracket_blocks", keep_every_block(_bracket_blocks))
     monkeypatch.setattr(linf_exact, "_refine", None)
     X = PointSet(rng.random((64, 3)))
     levels = [build_delta_cover(3, 0.2).levels] * 3
@@ -366,6 +381,73 @@ def test_cover_walks_the_counts_once_unless_a_point_is_on_a_level(rng, monkeypat
         assert shapes.count((8, 8, 8)) == 2 and shapes.count((15, 15, 15)) == walks
         assert (got.lower, got.witness.tolist(), got.params["kind"]) == \
             full_grid_star(PointSet(pts), levels, levels)
+
+
+class TestSharedIncumbent:
+    """Both sides' blocks pruned against the larger of the two coarse
+    incumbents: value, witness and kind as one whole count tensor per side
+    gives them, at chunks of one and seven corners and the default."""
+
+    @pytest.fixture(autouse=True, params=[1, 7, 1 << 15])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(pointset, "_CHUNK", request.param)
+
+    @pytest.fixture
+    def refined(self, monkeypatch):
+        """Side -> blocks refined, for every call of :func:`_refine`."""
+        seen = {}
+        monkeypatch.setattr(linf_exact, "_refine",
+                            lambda blocks, *a: seen.update({a[-2]: len(blocks)})
+                            or _refine(blocks, *a))
+        return seen
+
+    def test_losing_side_refines_no_block(self, rng, refined):
+        # the closed side wins on a diagonal set and on one clustered near 0,
+        # the open side on one clustered near 1; each loser keeps no block
+        t = np.sort(rng.random(6))
+        for pts, loser in ((np.repeat(t[:, None], 5, axis=1), "open"),
+                           (rng.random((8, 4)) * 0.1, "open"),
+                           (1 - rng.random((8, 4)) * 0.1, "closed")):
+            refined.clear()
+            got = star_grid_enum(PointSet(pts))
+            assert (got.value, got.witness.tolist(), got.kind) == \
+                full_grid_star(PointSet(pts), *_grid_axes(pts)[::-1])
+            assert got.kind != loser and refined[loser] == 0 and refined[got.kind] > 0
+
+    def test_exact_tie_keeps_the_open_side(self, refined):
+        # dyadic sets whose open and closed maxima are equal as doubles
+        for pts in ([[0.25], [0.75]], [[0.125], [0.5], [0.75], [0.75]],
+                    [[0.0, 0.625], [0.25, 0.375], [0.625, 0.875], [0.0, 0.5],
+                     [0.875, 0.0], [0.5, 0.375], [0.75, 0.375], [0.875, 0.0]]):
+            pts = np.array(pts)
+            plain, aug = _grid_axes(pts)
+            n = len(pts)
+            assert full_side_max(aug, aug, pts, None, "open", n)[0] == \
+                full_side_max(plain, plain, pts, None, "closed", n)[0]
+            got = star_grid_enum(PointSet(pts))
+            assert got.kind == "open"
+            assert (got.value, got.witness.tolist(), got.kind) == \
+                full_grid_star(PointSet(pts), aug, plain)
+
+    def test_refining_side_joins_the_streamed_walk(self, monkeypatch):
+        # on this cover the closed side's survivors would be refined, the
+        # open side's streamed: both take the one walk of the 15^3 corners
+        pts = np.random.default_rng(2).random((64, 3))
+        levels = [build_delta_cover(3, 0.2).levels] * 3
+        coarse = {s: _bracket_blocks(levels, levels, pts, s, 64) for s in ("open", "closed")}
+        top = max(best for best, _, _ in coarse.values())
+        work = {s: np.count_nonzero(bounds >= top) * (2 ** 3 + 64 * 3)
+                for s, (_, _, bounds) in coarse.items()}
+        assert 0 < work["closed"] < 15 ** 3 <= work["open"]
+        shapes = []
+        monkeypatch.setattr(linf_exact, "_grid_rows",
+                            lambda shape, *a: shapes.append(shape) or _grid_rows(shape, *a))
+        monkeypatch.setattr(linf_exact, "_refine", None)
+        got = cover_bounds(PointSet(pts), 0.2)
+        assert shapes.count((15, 15, 15)) == 1
+        assert (got.lower, got.witness.tolist(), got.params["kind"]) == \
+            full_grid_star(PointSet(pts), levels, levels)
+
 
 class TestMarginalCDF:
     def test_rejects_non_finite_tables(self):
@@ -466,6 +548,32 @@ class TestDispatcher:
 
     def test_cost_estimate(self):
         assert dem_cost_estimate(16, 4) == pytest.approx(16.0 ** 3)
+
+    def test_grid_from_d4_when_its_corners_fit(self, rng):
+        sets = [random_pointset(rng, n, d) for d, n in ((4, 16), (5, 10), (6, 7), (8, 5))]
+        for X in sets + [halton(32, 4)]:
+            assert exact_method(X, 50_000_000) == "grid"
+            got = star_exact(X)
+            assert got.value == star_dem(X).value
+            check_witness(X, got)
+
+    def test_dem_when_the_grid_does_not_fit(self, rng):
+        # 100 distinct points in d = 4: 101^4 corners exceed the default
+        # budget, while DEM's estimate of 100^3 box evaluations fits it
+        X = random_pointset(rng, 100, 4)
+        assert exact_method(X, 50_000_000) == "dem"
+        assert exact_method(X, 101 ** 4) == "grid"
+
+    def test_grid_admits_a_set_dem_refuses(self, rng):
+        # 1,000 points on 4 levels in d = 6: DEM estimates 10^12 box
+        # evaluations, the augmented grid has 5^6 corners
+        X = PointSet(np.floor(rng.random((1000, 6)) * 4) / 4)
+        with pytest.raises(BudgetExceededError, match="box evaluations"):
+            star_by_method(X, "dem", 50_000_000)
+        assert exact_method(X, 50_000_000) == "grid"
+        got = star_exact(X)
+        assert (got.value, got.witness.tolist(), got.kind) == \
+            full_grid_star(X, *_grid_axes(X.points)[::-1])
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_low_dimensions_honour_budget(self, rng, d):
