@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from discrepkit import PointSet, halton, local_discrepancy, rank1_lattice, star_dem, star_exact
-from discrepkit.linf_exact import exact_method
 
 SIZES = {4: (16, 32, 64), 5: (8, 16, 30), 6: (6, 10, 16), 7: (5, 8, 10), 8: (4, 6, 8)}
 
@@ -58,10 +57,11 @@ def main() -> None:
         for n in sizes:
             for name, pts in kinds(rng, n, d).items():
                 X = PointSet(pts)
-                if exact_method(X, 50_000_000) != "grid":
+                got = star_exact(X)
+                if got.method != "grid":
                     print(f"{d:>2} {n:>3} {name:<10} not admitted")
                     continue
-                got, ref = star_exact(X), star_dem(X)
+                ref = star_dem(X)
                 ld = local_discrepancy(got.witness, X)
                 recomputed = (ld.delta if got.kind == "open" else ld.delta_bar) == got.value
                 grid = dem = float("inf")

@@ -35,7 +35,7 @@ from . import l2, lp
 from ._simplex import LPError, solve_lp
 from .generators import PermutationConfig, halton, primes, random_permutation
 from .linf_approx import TAConfig, _best_ta, cover_bounds
-from .linf_exact import exact_method, star_exact
+from .linf_exact import star_exact
 from .pointset import (BudgetExceededError, _as_points, _critical_corners,
                        _grid_axes, _grid_cells, _grid_rows, _lanes)
 
@@ -454,8 +454,7 @@ def quality_report(sets: dict, measures: list, exact_budget: int = 50_000_000,
                 if measure == "star-linf":
                     try:
                         res = star_exact(X, exact_budget)
-                        value = res.value
-                        method = exact_method(X, exact_budget)
+                        value, method = res.value, res.method
                     except BudgetExceededError:
                         cell_seed = seed
                         lower = _best_ta(X, TAConfig(ta_iterations, seed=seed), restarts).lower

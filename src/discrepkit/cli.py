@@ -35,8 +35,7 @@ from .applications import (DiscreteMeasure, backward_selection, forward_selectio
 from .generators import (Graph, PermutationConfig, dominating_set_instance, halton,
                          midpoint_set, rank1_lattice)
 from .linf_approx import TAConfig, _best_ta, cover_bounds, ga_lower_bound
-from .linf_exact import (MarginalCDF, exact_method, star_1d, star_by_method,
-                         star_dem, star_grid_enum)
+from .linf_exact import MarginalCDF, star_1d, star_by_method, star_dem, star_grid_enum
 from .pointset import (BudgetExceededError, PointSet, WeightedPointSet,
                        local_discrepancy, snap_down, snap_up)
 
@@ -197,27 +196,15 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
-        return json.dumps({"format_version": FORMAT_VERSION,
-                           "command": self.command,
-                           "records": self.records},
-                          default=_json_default, indent=None, sort_keys=True) + "\n"
+        return json.dumps({"format_version": FORMAT_VERSION, "command": self.command,
+                           "records": self.records}, sort_keys=True) + "\n"
 
 
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, np.ndarray):
-        return ",".join(repr(float(c)) for c in v)
     if isinstance(v, (list, tuple)):
         return ",".join(_fmt(c) for c in v)
-    return str(v)
-
-
-def _json_default(v):
-    if isinstance(v, np.ndarray):
-        return [float(c) for c in v]
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
     return str(v)
 
 
@@ -375,16 +362,12 @@ def _cmd_disc(args, report: RunReport) -> None:
         if args.gstar and args.method not in ("auto", "grid"):
             raise SystemExit2(f"--gstar runs grid enumeration; --method {args.method} "
                               "cannot be combined with it")
-        G = read_marginals(args.gstar) if args.gstar else None
-        if G is not None or args.method == "grid":
-            res = star_grid_enum(X, G, budget=args.budget)
-            method = "grid"
+        if args.gstar:
+            res = star_grid_enum(X, read_marginals(args.gstar), args.budget)
         else:
-            method = exact_method(X, args.budget) if args.method == "auto" else args.method
-            res = star_by_method(X, method, args.budget)
-        report.add(task="disc", measure=m, method=method, value=res.value,
-                   witness=res.witness, witness_kind=res.kind,
-                   wall_time=time.perf_counter() - t0)
+            res = star_by_method(X, args.method, args.budget)
+        fields = dict(method=res.method, value=res.value, witness=res.witness,
+                      witness_kind=res.kind)
     elif m in ("star-l2", "extreme-l2", "modified-l2", "weighted-l2"):
         if m == "star-l2":
             v = l2.warnock_star_l2_sq(X)
@@ -396,34 +379,30 @@ def _cmd_disc(args, report: RunReport) -> None:
             if not args.gamma:
                 raise SystemExit2("weighted-l2 needs --gamma")
             v = l2.weighted_star_l2_sq(X, _parse_float_list(args.gamma))
-        report.add(task="disc", measure=m, value=v, squared=True,
-                   wall_time=time.perf_counter() - t0)
+        fields = dict(value=v, squared=True)
     elif m == "lp-even":
         gamma = _parse_float_list(args.gamma) if args.gamma else np.ones(X.d)
         v = lp.weighted_star_lp_pow(X, gamma, args.p, budget=args.budget)
-        report.add(task="disc", measure=m, p=args.p, value=v, squared=False,
-                   power=args.p, wall_time=time.perf_counter() - t0)
+        fields = dict(p=args.p, value=v, squared=False, power=args.p)
     elif m == "cover-upper":
         res = cover_bounds(X, args.delta, cap=args.budget)
-        report.add(task="disc", measure=m, lower=res.lower, upper=res.upper,
-                   delta=args.delta, witness=res.witness,
-                   wall_time=time.perf_counter() - t0)
+        fields = dict(lower=res.lower, upper=res.upper, delta=args.delta,
+                      witness=res.witness)
     elif m == "ta-lower":
         seed = _need_seed(args, report)
         best = _best_ta(X, TAConfig(args.iterations, mc=args.mc, k=args.k, seed=seed),
                         args.restarts, args.variant)
-        report.add(task="disc", measure=m, variant=args.variant, lower=best.lower,
-                   upper=best.upper, iterations=args.iterations, seed=seed,
-                   restarts=args.restarts, witness=best.witness,
-                   wall_time=time.perf_counter() - t0)
+        fields = dict(variant=args.variant, lower=best.lower, upper=best.upper,
+                      iterations=args.iterations, seed=seed, restarts=args.restarts,
+                      witness=best.witness)
     else:  # ga-lower
         seed = _need_seed(args, report)
         res = ga_lower_bound(X, args.mu, args.lambda_c, args.lambda_m,
                              args.stagnation, seed)
-        report.add(task="disc", measure=m, lower=res.lower, upper=res.upper,
-                   mu=args.mu, lambda_c=args.lambda_c, lambda_m=args.lambda_m,
-                   stagnation=args.stagnation, seed=seed, witness=res.witness,
-                   wall_time=time.perf_counter() - t0)
+        fields = dict(lower=res.lower, upper=res.upper, mu=args.mu, lambda_c=args.lambda_c,
+                      lambda_m=args.lambda_m, stagnation=args.stagnation, seed=seed,
+                      witness=res.witness)
+    report.add(task="disc", measure=m, **fields, wall_time=time.perf_counter() - t0)
 
 
 def _cmd_reduce(args, report: RunReport) -> None:

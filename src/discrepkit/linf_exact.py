@@ -23,13 +23,13 @@ module is a strategy for searching those grids:
   Mitchell (1996) built on the Overmars-Yap partition: O(n^(d/2)) cells in
   which box counts separate per coordinate, each solved by a small dynamic
   program over (count, extremal volume) states.
-* :func:`star_exact` -- dispatcher: the grid search in every dimension above
-  one whose grid fits the budget, else the decomposition from d = 4 on; every
-  method but the 1-d formula checks its cost against a budget first.
+* :func:`star_by_method` -- the one dispatcher; :func:`star_exact` runs its
+  "auto" rule: the 1-d formula, else the grid search when its grid fits the
+  budget, else the decomposition.  All but the 1-d formula check their cost.
 
-Every result carries a witness corner; the returned value is always the
-local discrepancy recomputed at the witness, so callers can verify any
-output independently.
+Every result carries a witness corner and names the algorithm that ran
+("1d", "grid" or "dem"); its value is the local discrepancy recomputed at
+the witness, so callers can verify any output independently.
 """
 
 from __future__ import annotations
@@ -115,11 +115,12 @@ class MarginalCDF:
 
 @dataclass(frozen=True)
 class StarResult:
-    """A star discrepancy value together with its verifying corner."""
+    """A star discrepancy value, its verifying corner and the algorithm that ran."""
 
     value: float
     witness: np.ndarray
     kind: str  # "open" (delta witness) or "closed" (deltabar witness)
+    method: str  # "1d", "grid" or "dem"
 
     def __post_init__(self):
         w = np.asarray(self.witness, dtype=np.float64)
@@ -152,9 +153,9 @@ def local_values(nu, y, G: MarginalCDF | None = None) -> tuple[float, float]:
     return mu - _count_open(pts, yv, w), _count_closed(pts, yv, w) - mu
 
 
-def _result_at(nu, y: np.ndarray, kind: str, G: MarginalCDF | None = None) -> StarResult:
+def _result_at(nu, y: np.ndarray, kind: str, method: str, G=None) -> StarResult:
     op, cl = local_values(nu, y, G)
-    return StarResult(op if kind == "open" else cl, y.copy(), kind)
+    return StarResult(op if kind == "open" else cl, y.copy(), kind, method)
 
 
 def _check_dim(X: PointSet, method: str) -> None:
@@ -174,8 +175,8 @@ def star_1d(X: PointSet) -> StarResult:
     ic = int(np.argmax(closed_terms))
     io = int(np.argmax(open_terms))
     if closed_terms[ic] >= open_terms[io]:
-        return _result_at(X, np.array([xs[ic]]), "closed")
-    return _result_at(X, np.array([xs[io]]), "open")
+        return _result_at(X, np.array([xs[ic]]), "closed", "1d")
+    return _result_at(X, np.array([xs[io]]), "open", "1d")
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +338,7 @@ def _grid_star(nu, open_axes: list[np.ndarray], closed_axes: list[np.ndarray],
     found = _grid_side_max(grids, pts, wts, n)
     kind = "open" if found["open"][0] >= found["closed"][0] else "closed"
     y = np.array([a[i] for a, i in zip(grids[kind][0], found[kind][1])])
-    return _result_at(nu, y, kind, G)
+    return _result_at(nu, y, kind, "grid", G)
 
 
 def star_2d(X: PointSet) -> StarResult:
@@ -490,7 +491,7 @@ def star_dem(X: PointSet, validate: bool = False) -> StarResult:
                      if i in idim or lo < pts[i, j] < hi})
 
     recurse(0, (), (), list(range(n)), {})
-    return _result_at(X, np.array(best[1]), best[2])
+    return _result_at(X, np.array(best[1]), best[2], "dem")
 
 
 # ---------------------------------------------------------------------------
@@ -502,24 +503,22 @@ def dem_cost_estimate(n: int, d: int) -> float:
     return float(n) ** (d / 2.0 + 1.0)
 
 
-def exact_method(X: PointSet, budget: int) -> str:
-    """Name of the exact method :func:`star_exact` runs on ``X``: "1d", "2d"
-    or "3d" up to dimension three; above, "grid" when the augmented grid's
-    corner count fits ``budget``, otherwise "dem".  The grid search was the
-    faster on all of 135 sets in d = 4..8 at the default budget (median 6.9
-    times).  Uniform sets in d = 4 cross over near 2.4*10^9 corners (n = 220),
-    50 times the default budget; above it the decomposition is the faster
-    (4.4*10^9 corners: 3.4 s against the grid's 5.4 s and 4 times the memory)."""
-    if X.d <= 3:
-        return f"{X.d}d"
-    return "grid" if math.prod(map(len, _grid_axes(X.points)[1])) <= budget else "dem"
-
-
 def star_by_method(X: PointSet, method: str, budget: int) -> StarResult:
-    """Run the exact method named "1d", "2d", "3d", "grid" or "dem".  The
-    grid search ("2d" and "3d" check the dimension first) refuses when the
-    augmented corner count exceeds ``budget``, the decomposition when its
-    n^(d/2+1) work estimate does."""
+    """Run the exact method named "1d", "2d", "3d", "grid" or "dem", or the
+    one "auto" chooses: "1d" at d = 1, the grid search up to d = 3, and from
+    d = 4 on the grid search when the augmented grid's corner count fits
+    ``budget``, otherwise "dem".  The grid search ("2d" and "3d" check the
+    dimension first) refuses when the augmented corner count exceeds
+    ``budget``, the decomposition when its n^(d/2+1) work estimate does.
+
+    The grid search was the faster on all of 135 sets in d = 4..8 at the
+    default budget (median 6.9 times).  Uniform sets in d = 4 cross over near
+    2.4*10^9 corners (n = 220), 50 times the default budget; above it the
+    decomposition is the faster (4.4*10^9 corners: 3.4 s against the grid's
+    5.4 s and 4 times the memory)."""
+    if method == "auto":
+        fits = X.d <= 3 or math.prod(map(len, _grid_axes(X.points)[1])) <= budget
+        method = "1d" if X.d == 1 else "grid" if fits else "dem"
     if method in ("2d", "3d"):
         _check_dim(X, method)
     if method in ("2d", "3d", "grid"):
@@ -536,8 +535,8 @@ def star_by_method(X: PointSet, method: str, budget: int) -> StarResult:
 
 
 def star_exact(X: PointSet, budget: int = 50_000_000) -> StarResult:
-    """Exact star discrepancy by the method of :func:`exact_method` under a
-    work budget; when neither the grid nor the decomposition fits, a budget
-    error reports the decomposition's cost and suggests guaranteed or
+    """Exact star discrepancy by the method :func:`star_by_method` chooses
+    under a work budget; when neither the grid nor the decomposition fits, a
+    budget error reports the decomposition's cost and suggests guaranteed or
     heuristic bounds instead."""
-    return star_by_method(X, exact_method(X, budget), budget)
+    return star_by_method(X, "auto", budget)

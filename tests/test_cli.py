@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from discrepkit import DiscreteMeasure, PointSet, halton, midpoint_set, star_dem
-from discrepkit.cli import (ParseError, read_marginals, read_measure,
+from discrepkit import (DiscreteMeasure, Graph, PointSet, TAConfig, cover_bounds,
+                        dominating_set_instance, ga_lower_bound, halton, l2, lp,
+                        midpoint_set, rank1_lattice, star_dem, star_exact, star_grid_enum)
+from discrepkit.cli import (ParseError, _pointset_text, read_marginals, read_measure,
                             read_pointset, run_command, write_measure,
                             write_pointset)
+from discrepkit.linf_approx import _best_ta
+from discrepkit.linf_exact import star_by_method
 
 
 def run(argv):
@@ -198,7 +202,11 @@ class TestCommands:
             err = rep.records[0]["error"]
             assert "--gstar" in err and f"--method {method}" in err
         else:
-            assert rep.records[0]["method"] == "grid"
+            res = star_grid_enum(midpoint_set(4), read_marginals(str(g)))
+            assert res.method == "grid"
+            assert _fields(rep.records[0]) == {
+                "task": "disc", "measure": "star-linf", "method": res.method,
+                "value": res.value, "witness": res.witness.tolist(), "witness_kind": res.kind}
 
     def test_stable_flag_selects_the_same_formula(self, tmp_path):
         pts = tmp_path / "pts.txt"
@@ -429,3 +437,197 @@ def test_measure_total_adds_left_to_right(tmp_path):
     assert total != np.sum(probs)
     got = read_measure(str(m)).probabilities
     assert got.view(np.int64).tolist() == (probs / total).view(np.int64).tolist()
+
+
+# ---------------------------------------------------------------------------
+# every record's keys, key order and values, against the library calls
+# ---------------------------------------------------------------------------
+
+def _disc(tmp_path, X, *argv):
+    pts = tmp_path / "pts.txt"
+    write_pointset(str(pts), X)
+    return run(["disc", "--input", str(pts), *argv])
+
+
+def _fields(rec):
+    return {k: v for k, v in rec.items() if k != "wall_time"}
+
+
+X35 = PointSet(np.random.default_rng(35).random((12, 3)))
+
+# (measure and options, the record's keys in order, its fields from the library)
+DISC_RECORDS = [
+    (["star-linf"], ["method", "value", "witness", "witness_kind"],
+     lambda: (lambda r: dict(method="grid", value=r.value, witness=r.witness.tolist(),
+                             witness_kind=r.kind))(star_grid_enum(X35))),
+    (["star-l2"], ["value", "squared"],
+     lambda: dict(value=l2.warnock_star_l2_sq(X35), squared=True)),
+    (["extreme-l2"], ["value", "squared"],
+     lambda: dict(value=l2.extreme_l2_sq(X35), squared=True)),
+    (["modified-l2"], ["value", "squared"],
+     lambda: dict(value=l2.modified_l2_sq(X35), squared=True)),
+    (["weighted-l2", "--gamma", "1,0.5,0.25"], ["value", "squared"],
+     lambda: dict(value=l2.weighted_star_l2_sq(X35, [1.0, 0.5, 0.25]), squared=True)),
+    (["lp-even", "--p", "4"], ["p", "value", "squared", "power"],
+     lambda: dict(p=4, value=lp.weighted_star_lp_pow(X35, np.ones(3), 4), squared=False,
+                  power=4)),
+    (["cover-upper", "--delta", "0.25"], ["lower", "upper", "delta", "witness"],
+     lambda: (lambda r: dict(lower=r.lower, upper=r.upper, delta=0.25,
+                             witness=r.witness.tolist()))(cover_bounds(X35, 0.25))),
+    (["ta-lower", "--iterations", "120", "--restarts", "2", "--seed", "5",
+      "--variant", "basic"],
+     ["variant", "lower", "upper", "iterations", "seed", "restarts", "witness"],
+     lambda: (lambda r: dict(variant="basic", lower=r.lower, upper=r.upper, iterations=120,
+                             seed=5, restarts=2, witness=r.witness.tolist()))(
+         _best_ta(X35, TAConfig(120, mc=2, k=8, seed=5), 2, "basic"))),
+    (["ga-lower", "--mu", "4", "--lambda-c", "3", "--lambda-m", "2", "--stagnation", "5",
+      "--seed", "7"],
+     ["lower", "upper", "mu", "lambda_c", "lambda_m", "stagnation", "seed", "witness"],
+     lambda: (lambda r: dict(lower=r.lower, upper=r.upper, mu=4, lambda_c=3, lambda_m=2,
+                             stagnation=5, seed=7, witness=r.witness.tolist()))(
+         ga_lower_bound(X35, 4, 3, 2, 5, 7))),
+]
+
+
+@pytest.mark.parametrize("argv, keys, want", DISC_RECORDS, ids=[c[0][0] for c in DISC_RECORDS])
+def test_disc_record_keys_and_values(tmp_path, argv, keys, want):
+    code, rep = _disc(tmp_path, X35, "--measure", *argv)
+    assert code == 0
+    [rec] = rep.records
+    assert list(rec) == ["task", "measure", *keys, "wall_time"]
+    assert _fields(rec) == dict(task="disc", measure=argv[0], **want())
+    assert rec["wall_time"] >= 0.0
+
+
+@pytest.mark.parametrize("argv, keys, want", DISC_RECORDS, ids=[c[0][0] for c in DISC_RECORDS])
+def test_disc_record_renders_in_both_formats(tmp_path, argv, keys, want):
+    _, rep = _disc(tmp_path, X35, "--measure", *argv)
+    assert json.loads(rep.render_json())["records"] == rep.records
+    lines = rep.render_text().splitlines()
+    assert lines[:2] == ["format_version=1", f"command={rep.command}"]
+    [line] = lines[2:]
+    text = dict(tok.split("=", 1) for tok in line.split())
+    assert list(text) == list(rep.records[0])
+    for k, v in rep.records[0].items():
+        assert text[k] == (",".join(map(repr, v)) if isinstance(v, list)
+                           else repr(v) if isinstance(v, float) else str(v))
+
+
+def test_seed_note_comes_before_the_disc_record(tmp_path):
+    code, rep = _disc(tmp_path, X35, "--measure", "ta-lower", "--iterations", "50")
+    assert code == 0
+    note, rec = rep.records
+    assert list(note) == ["note", "seed"] and note["note"] == "seed drawn from clock"
+    assert rec["seed"] == note["seed"]
+    assert list(rec)[:2] == ["task", "measure"]
+
+
+def test_weighted_l2_needs_gamma(tmp_path):
+    code, rep = _disc(tmp_path, X35, "--measure", "weighted-l2")
+    assert code == 2
+    assert rep.records == [{"error": "weighted-l2 needs --gamma", "exit_code": 2}]
+
+
+GEN_CASES = [
+    (["halton", "--n", "9", "--d", "3"], lambda: halton(9, 3)),
+    (["lattice", "--n", "8", "--z", "1,3"], lambda: rank1_lattice(8, [1, 3])),
+    (["domset", "--vertices", "3", "--edges", "0-1,1-2", "--alpha", "0.25"],
+     lambda: dominating_set_instance(Graph(3, [(0, 1), (1, 2)]), 0.25, 0.0)),
+]
+
+
+@pytest.mark.parametrize("argv, want", GEN_CASES, ids=[c[0][0] for c in GEN_CASES])
+def test_gen_record_and_points(argv, want):
+    X = want()
+    code, rep = run(["gen", "--type", *argv])
+    assert code == 0
+    assert rep.records == [{"task": "gen", "type": argv[0], "n": X.n, "d": X.d}]
+    assert list(rep.records[0]) == ["task", "type", "n", "d"]
+    assert rep.raw_payload == _pointset_text(X)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["halton", "--n", "9"], "gen --type halton needs --n and --d"),
+    (["lattice", "--n", "8"], "gen --type lattice needs --n and --z"),
+    (["domset", "--edges", "0-1"], "gen --type domset needs --vertices"),
+], ids=["halton", "lattice", "domset"])
+def test_gen_usage_errors(argv, error):
+    code, rep = run(["gen", "--type", *argv])
+    assert code == 2
+    assert rep.records == [{"error": error, "exit_code": 2}]
+    assert rep.raw_payload is None
+
+
+@pytest.mark.parametrize("measure, method, value", [
+    ("extreme-l2", "direct", lambda X: l2.extreme_l2_sq(X)),
+    ("modified-l2", "warnock-weighted", lambda X: l2.modified_l2_sq(X)),
+    ("lp-even", "direct-p4", lambda X: lp.weighted_star_lp_pow(X, np.ones(X.d), 4)),
+])
+def test_report_cell_keys_and_values(tmp_path, measure, method, value):
+    pts = tmp_path / "x.txt"
+    write_pointset(str(pts), X35)
+    man = tmp_path / "manifest.txt"
+    man.write_text(f"x {pts}\n")
+    code, rep = run(["report", "--manifest", str(man), "--measures", measure,
+                     "--seed", "1"])
+    assert code == 0
+    [rec] = rep.records
+    assert list(rec) == ["set", "measure", "method", "value", "wall_time"]
+    assert _fields(rec) == {"set": "x", "measure": measure, "method": method,
+                            "value": value(X35)}
+
+
+# ---------------------------------------------------------------------------
+# method= names the algorithm that ran
+# ---------------------------------------------------------------------------
+
+# (set, --method, --budget, the algorithm that runs)
+METHOD_CASES = [
+    (midpoint_set(5), "auto", 50_000_000, "1d"),
+    (midpoint_set(5), "1d", 50_000_000, "1d"),
+    (midpoint_set(5), "grid", 50_000_000, "grid"),
+    (midpoint_set(5), "dem", 50_000_000, "dem"),
+    (halton(20, 2), "auto", 50_000_000, "grid"),
+    (halton(20, 2), "2d", 50_000_000, "grid"),
+    (halton(20, 2), "dem", 50_000_000, "dem"),
+    (X35, "auto", 50_000_000, "grid"),
+    (X35, "3d", 50_000_000, "grid"),
+    (X35, "grid", 50_000_000, "grid"),
+    (X35, "dem", 50_000_000, "dem"),
+    (halton(32, 4), "auto", 50_000_000, "grid"),
+    (halton(32, 4), "auto", 33 ** 4 - 1, "dem"),  # the grid's 33^4 corners do not fit
+    (halton(32, 4), "dem", 50_000_000, "dem"),
+]
+
+
+@pytest.mark.parametrize("X, method, budget, ran", METHOD_CASES,
+                         ids=[f"d{c[0].d}-{c[1]}-{c[3]}" for c in METHOD_CASES])
+def test_disc_method_names_what_ran(tmp_path, X, method, budget, ran):
+    res = star_by_method(X, method, budget)
+    assert res.method == ran
+    code, rep = _disc(tmp_path, X, "--measure", "star-linf", "--method", method,
+                      "--budget", str(budget))
+    assert code == 0
+    assert _fields(rep.records[0]) == {
+        "task": "disc", "measure": "star-linf", "method": res.method, "value": res.value,
+        "witness": res.witness.tolist(), "witness_kind": res.kind}
+
+
+@pytest.mark.parametrize("X, budget, ran", [
+    (midpoint_set(5), 50_000_000, "1d"),
+    (halton(20, 2), 50_000_000, "grid"),
+    (halton(32, 4), 50_000_000, "grid"),
+    (halton(32, 4), 33 ** 4 - 1, "dem"),
+], ids=["1d", "grid-2d", "grid-4d", "dem"])
+def test_report_star_cell_names_what_ran(tmp_path, X, budget, ran):
+    pts = tmp_path / "x.txt"
+    write_pointset(str(pts), X)
+    man = tmp_path / "manifest.txt"
+    man.write_text(f"x {pts}\n")
+    res = star_exact(X, budget)
+    assert res.method == ran
+    code, rep = run(["report", "--manifest", str(man), "--measures", "star-linf",
+                     "--seed", "1", "--budget", str(budget)])
+    assert code == 0
+    assert _fields(rep.records[0]) == {"set": "x", "measure": "star-linf",
+                                       "method": ran, "value": res.value}

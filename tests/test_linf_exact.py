@@ -14,7 +14,7 @@ from discrepkit import (BudgetExceededError, MarginalCDF, PointSet,
 from discrepkit import linf_exact, pointset
 from discrepkit.linf_approx import build_delta_cover, cover_bounds
 from discrepkit.linf_exact import (_bracket_blocks, _grid_side_max, _grid_star, _refine,
-                                   exact_method, local_values, star_by_method)
+                                   local_values, star_by_method)
 from discrepkit.pointset import _grid_axes, _grid_cells, _grid_rows
 
 
@@ -534,9 +534,11 @@ class TestDispatcher:
         X = midpoint_set(6)
         assert star_exact(X).value == star_1d(X).value
 
-    def test_d4_uses_dem(self, rng):
+    def test_dem_equals_grid_in_d4(self, rng):
         X = random_pointset(rng, 16, 4)
-        assert star_exact(X).value == pytest.approx(star_grid_enum(X).value, abs=1e-12)
+        dem, grid = star_by_method(X, "dem", 50_000_000), star_grid_enum(X)
+        assert dem.value == grid.value
+        assert (dem.method, grid.method) == ("dem", "grid")
 
     def test_budget_error_is_actionable(self):
         X = PointSet(np.random.default_rng(1).random((10_000, 15)))
@@ -552,8 +554,8 @@ class TestDispatcher:
     def test_grid_from_d4_when_its_corners_fit(self, rng):
         sets = [random_pointset(rng, n, d) for d, n in ((4, 16), (5, 10), (6, 7), (8, 5))]
         for X in sets + [halton(32, 4)]:
-            assert exact_method(X, 50_000_000) == "grid"
             got = star_exact(X)
+            assert got.method == "grid"
             assert got.value == star_dem(X).value
             check_witness(X, got)
 
@@ -561,8 +563,8 @@ class TestDispatcher:
         # 100 distinct points in d = 4: 101^4 corners exceed the default
         # budget, while DEM's estimate of 100^3 box evaluations fits it
         X = random_pointset(rng, 100, 4)
-        assert exact_method(X, 50_000_000) == "dem"
-        assert exact_method(X, 101 ** 4) == "grid"
+        assert star_exact(X, 50_000_000).method == "dem"
+        assert star_exact(X, 101 ** 4).method == "grid"
 
     def test_grid_admits_a_set_dem_refuses(self, rng):
         # 1,000 points on 4 levels in d = 6: DEM estimates 10^12 box
@@ -570,8 +572,8 @@ class TestDispatcher:
         X = PointSet(np.floor(rng.random((1000, 6)) * 4) / 4)
         with pytest.raises(BudgetExceededError, match="box evaluations"):
             star_by_method(X, "dem", 50_000_000)
-        assert exact_method(X, 50_000_000) == "grid"
         got = star_exact(X)
+        assert got.method == "grid"
         assert (got.value, got.witness.tolist(), got.kind) == \
             full_grid_star(X, *_grid_axes(X.points)[::-1])
 
