@@ -204,9 +204,8 @@ class TestCommands:
         else:
             res = star_grid_enum(midpoint_set(4), read_marginals(str(g)))
             assert res.method == "grid"
-            assert _fields(rep.records[0]) == {
-                "task": "disc", "measure": "star-linf", "method": res.method,
-                "value": res.value, "witness": res.witness.tolist(), "witness_kind": res.kind}
+            assert _fields(rep.records[0]) == dict(task="disc", measure="star-linf",
+                                                   **_star(res))
 
     def test_stable_flag_selects_the_same_formula(self, tmp_path):
         pts = tmp_path / "pts.txt"
@@ -453,13 +452,23 @@ def _fields(rec):
     return {k: v for k, v in rec.items() if k != "wall_time"}
 
 
+def _star(res):
+    """The fields a star-linf record takes from its result."""
+    return dict(method=res.method, value=res.value, witness=res.witness.tolist(),
+                witness_kind=res.kind)
+
+
+def _bound(res, **options):
+    """The fields a bound record takes from its result, and its options."""
+    return dict(lower=res.lower, upper=res.upper, witness=res.witness.tolist(), **options)
+
+
 X35 = PointSet(np.random.default_rng(35).random((12, 3)))
 
 # (measure and options, the record's keys in order, its fields from the library)
 DISC_RECORDS = [
     (["star-linf"], ["method", "value", "witness", "witness_kind"],
-     lambda: (lambda r: dict(method="grid", value=r.value, witness=r.witness.tolist(),
-                             witness_kind=r.kind))(star_grid_enum(X35))),
+     lambda: _star(star_grid_enum(X35))),
     (["star-l2"], ["value", "squared"],
      lambda: dict(value=l2.warnock_star_l2_sq(X35), squared=True)),
     (["extreme-l2"], ["value", "squared"],
@@ -472,20 +481,17 @@ DISC_RECORDS = [
      lambda: dict(p=4, value=lp.weighted_star_lp_pow(X35, np.ones(3), 4), squared=False,
                   power=4)),
     (["cover-upper", "--delta", "0.25"], ["lower", "upper", "delta", "witness"],
-     lambda: (lambda r: dict(lower=r.lower, upper=r.upper, delta=0.25,
-                             witness=r.witness.tolist()))(cover_bounds(X35, 0.25))),
+     lambda: _bound(cover_bounds(X35, 0.25), delta=0.25)),
     (["ta-lower", "--iterations", "120", "--restarts", "2", "--seed", "5",
       "--variant", "basic"],
      ["variant", "lower", "upper", "iterations", "seed", "restarts", "witness"],
-     lambda: (lambda r: dict(variant="basic", lower=r.lower, upper=r.upper, iterations=120,
-                             seed=5, restarts=2, witness=r.witness.tolist()))(
-         _best_ta(X35, TAConfig(120, mc=2, k=8, seed=5), 2, "basic"))),
+     lambda: _bound(_best_ta(X35, TAConfig(120, mc=2, k=8, seed=5), 2, "basic"),
+                    variant="basic", iterations=120, seed=5, restarts=2)),
     (["ga-lower", "--mu", "4", "--lambda-c", "3", "--lambda-m", "2", "--stagnation", "5",
       "--seed", "7"],
      ["lower", "upper", "mu", "lambda_c", "lambda_m", "stagnation", "seed", "witness"],
-     lambda: (lambda r: dict(lower=r.lower, upper=r.upper, mu=4, lambda_c=3, lambda_m=2,
-                             stagnation=5, seed=7, witness=r.witness.tolist()))(
-         ga_lower_bound(X35, 4, 3, 2, 5, 7))),
+     lambda: _bound(ga_lower_bound(X35, 4, 3, 2, 5, 7), mu=4, lambda_c=3, lambda_m=2,
+                    stagnation=5, seed=7)),
 ]
 
 
@@ -608,9 +614,7 @@ def test_disc_method_names_what_ran(tmp_path, X, method, budget, ran):
     code, rep = _disc(tmp_path, X, "--measure", "star-linf", "--method", method,
                       "--budget", str(budget))
     assert code == 0
-    assert _fields(rep.records[0]) == {
-        "task": "disc", "measure": "star-linf", "method": res.method, "value": res.value,
-        "witness": res.witness.tolist(), "witness_kind": res.kind}
+    assert _fields(rep.records[0]) == dict(task="disc", measure="star-linf", **_star(res))
 
 
 @pytest.mark.parametrize("X, budget, ran", [
