@@ -15,15 +15,15 @@ by the divide-and-conquer scheme of Heinrich (1996) with the one-dimensional
 base case of Frank and Heinrich (1996); see :func:`heinrich_D` and
 :func:`star_l2_sq_fast`.  A double sum of a point set with itself is formed
 with each unordered pair once: in the direct formulas by the row bands of
-:func:`_pair_sum`, whose height (``_BLOCK_ELEMS``) fixes only the summation
-order, and at the recursion's root by :func:`_D_sym`.  Every block of pairs,
-the recursion's leaves included, is summed by one kernel, :func:`_block_sum`,
-a few rows at a time.  The three terms of Warnock-type formulas are much
-larger than their sum, so sums accumulate in extended precision (``_ACC``)
-and the terms are combined before the final rounding to double.  This is the
-package's one summation policy: Warnock's own remedy, subtracting each
-summand's expected value, is less accurate than it and is not used, and the
-L_p expansion of :mod:`discrepkit.lp` is evaluated in the same precision.
+:func:`_pair_sum`, ``_BLOCK_ELEMS // n`` rows high, which bound the memory
+and fix the summation order, and at the recursion's root by :func:`_D_sym`.
+Every block of pairs, the recursion's leaves included, is formed whole and
+summed row by row by one kernel, :func:`_block_sum`.  The three terms of
+Warnock-type formulas are much larger than their sum, so sums accumulate in
+extended precision (``_ACC``) and the terms are combined before the final
+rounding to double.  This is the package's one summation policy, also that
+of the L_p expansion in :mod:`discrepkit.lp`; Warnock's own remedy,
+subtracting each summand's expected value, is less accurate and not used.
 """
 
 from __future__ import annotations
@@ -50,41 +50,25 @@ __all__ = [
     "modified_l2",
 ]
 
-_BLOCK_ELEMS = 1 << 20  # bands of _BLOCK_ELEMS // n rows: sets only the summation order
-_LEAF = 4096  # Heinrich subproblems, and blocks, of at most this many pairs are summed whole
+_BLOCK_ELEMS = 1 << 15  # bands of _BLOCK_ELEMS // n rows: the memory and the summation order
+_LEAF = 4096  # Heinrich subproblems of at most this many weight pairs are summed directly
 _ACC = np.longdouble  # extended-precision accumulator for the big reductions
 
 
 def _block_sum(A, BT, va=None, vb=None):
     """Sum in ``_ACC`` over the block A x B of prod_k min(A[i, k], B[l, k]),
-    times va[i] vb[l] if given; BT is B transposed.  np.sum of a casting
-    reduction is the in-order sum of its buffer-sized pieces, so forming a few
-    rows at a time into S and summing each piece as it fills, carrying the
-    rest, is np.sum of the whole block bit for bit; a block of at most
-    ``_LEAF`` entries is one piece."""
-    rows, width = A.shape[0], BT.shape[1]
-    piece = rows * width if rows * width <= _LEAF else np.getbufsize()
-    h = max(1, piece // width)
-    g = min(h, rows) * width  # entries formed at once; a carry is below piece
-    S = np.empty(min(rows * width + g, piece + 2 * g))
-    total, c = _ACC(0.0), 0
-    for i in range(0, rows, h):
-        size = min(h, rows - i) * width
-        M = S[c:c + size].reshape(-1, width)
-        F = S[c + size:c + 2 * size].reshape(-1, width)
-        for k in range(BT.shape[0]):
-            np.minimum(A[i:i + h, k, None], BT[k], out=F if k else M)
-            if k:
-                M *= F
-        if va is not None:
-            M *= va[i:i + h, None]
-            M *= vb
-        c += size
-        for p in range(0, c - piece + 1, piece):
-            total += S[p:p + piece].sum(dtype=_ACC)
-        S[:c % piece] = S[c - c % piece:c]
-        c %= piece
-    return total + S[:c].sum(dtype=_ACC) if c else total
+    times va[i] vb[l] if given; BT is B transposed.  The block is formed
+    whole, factors multiplied left to right, and summed row by row."""
+    M = np.empty((A.shape[0], BT.shape[1]))
+    F = np.empty_like(M)
+    for k in range(BT.shape[0]):
+        np.minimum(A[:, k, None], BT[k], out=F if k else M)
+        if k:
+            M *= F
+    if va is not None:
+        M *= va[:, None]
+        M *= vb
+    return M.sum(axis=1, dtype=_ACC).sum()
 
 
 def _pair_sum(U: np.ndarray, v=None):

@@ -510,12 +510,16 @@ def star_by_method(X: PointSet, method: str, budget: int) -> StarResult:
     ``budget``, otherwise "dem".  The grid search ("2d" and "3d" check the
     dimension first) refuses when the augmented corner count exceeds
     ``budget``, the decomposition when its n^(d/2+1) work estimate does.
+    Any other method name is refused with a ValueError.
 
     The grid search was the faster on all of 135 sets in d = 4..8 at the
     default budget (median 6.9 times).  Uniform sets in d = 4 cross over near
     2.4*10^9 corners (n = 220), 50 times the default budget; above it the
     decomposition is the faster (4.4*10^9 corners: 3.4 s against the grid's
     5.4 s and 4 times the memory)."""
+    names = ("auto", "1d", "2d", "3d", "grid", "dem")
+    if method not in names:
+        raise ValueError(f"unknown exact method {method!r}; expected one of {', '.join(names)}")
     if method == "auto":
         fits = X.d <= 3 or math.prod(map(len, _grid_axes(X.points)[1])) <= budget
         method = "1d" if X.d == 1 else "grid" if fits else "dem"

@@ -103,6 +103,8 @@ class WeightedPointSet:
     def __init__(self, weights, points, d: int | None = None):
         w = np.asarray(weights, dtype=np.float64).reshape(-1)
         arr = _as_points(points, d)
+        if arr.shape[0] < 1:
+            raise ValueError("a point set needs at least one point")
         if arr.shape[0] != w.shape[0]:
             raise ValueError("one weight per point required")
         if not np.all(np.isfinite(w)) or not np.all(np.isfinite(arr)):

@@ -190,9 +190,9 @@ def _kinds(rng, n, d):
 
 
 def _whole_block_pair_sum(U, v=None, g=None):
-    """``l2._pair_sum`` as it was first written: the same row bands, each
-    block formed whole by broadcasting, per-pair factors 1 + g_k min(...),
-    one ``np.sum`` per block in ``np.longdouble``, Neumaier across blocks."""
+    """``l2._pair_sum`` written out: the same row bands, each block formed
+    whole by broadcasting, per-pair factors 1 + g_k min(...), each block
+    summed row by row in ``np.longdouble``, Neumaier across blocks."""
     n, d = U.shape
     step = max(1, l2._BLOCK_ELEMS // max(n, 1))
     total = err = np.longdouble(0.0)
@@ -208,7 +208,7 @@ def _whole_block_pair_sum(U, v=None, g=None):
                 M = T if M is None else M * T
             if v is not None:
                 M = M * v[s:e, None] * v[lo:hi]
-            x = np.sum(M, dtype=np.longdouble) * (2 if lo == e else 1)
+            x = np.sum(M, axis=1, dtype=np.longdouble).sum() * (2 if lo == e else 1)
             t = total + x
             if total:
                 err += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
@@ -269,8 +269,16 @@ class TestPairBlocks:
         for U, g in _operands(X, d):
             assert _acc_ulps(U, g) <= 2
 
-    # widths 1 to 3,000, most not dividing numpy's 8,192-entry pieces; one
-    # band, many bands, and bands of one row
+    def test_default_bands_within_one_ulp(self):
+        # 32 Warnock and weighted sums, each over 32 or 33 row bands
+        rng = np.random.default_rng(4860)
+        for d in range(1, 9):
+            for n in (1023, 1024):
+                ops = _operands(rng.random((n, d)), d)
+                for U, g in (ops[0], ops[2]):
+                    assert _acc_ulps(U, g) <= 1, (d, n, g is not None)
+
+    # widths 1 to 3,000; one band, many bands, and bands of one row
     SHAPES = [(1, 1 << 20), (2, 1 << 20), (7, 1 << 20), (100, 1 << 20), (1023, 1 << 20),
               (3000, 1 << 20), (100, 700), (1023, 50_000), (300, 1)]
 
@@ -285,20 +293,21 @@ class TestPairBlocks:
                 assert l2._pair_sum(U) == _whole_block_pair_sum(U)
             assert l2._pair_sum(X, v=v) == _whole_block_pair_sum(X, v)
 
-    def test_bits_follow_numpy_buffer_size(self, monkeypatch):
+    def test_values_ignore_numpy_buffer_size(self):
+        # numpy sums a row of a few thousand entries whole at either buffer size
         rng = np.random.default_rng(4830)
-        X, v = rng.random((700, 3)), rng.normal(size=700)
-        monkeypatch.setattr(l2, "_BLOCK_ELEMS", 70_000)  # bands of 100 rows
-        old = np.setbufsize(1024)
-        try:
-            got = [l2._pair_sum(X), l2._pair_sum(X, v=v)]
-            want = [_whole_block_pair_sum(X), _whole_block_pair_sum(X, v)]
-        finally:
-            np.setbufsize(old)
-        assert got == want
+        for n in (700, 3000):
+            X, v = rng.random((n, 3)), rng.normal(size=n)
+            want = [l2._pair_sum(X), l2._pair_sum(X, v=v)]
+            old = np.setbufsize(1024)
+            try:
+                got = [l2._pair_sum(X), l2._pair_sum(X, v=v)]
+            finally:
+                np.setbufsize(old)
+            assert got == want, n
 
-    # blocks of one piece (at most _LEAF entries), of a few pieces, and with
-    # rows wider than a piece, as the Heinrich leaves and bands pass them
+    # blocks as the Heinrich leaves and the bands pass them, some with rows
+    # wider than numpy's buffer
     KERNEL = [(1, 1, 1), (4, 8, 2), (64, 64, 3), (1, 4097, 2), (65, 64, 4), (40, 300, 5),
               (3, 9000, 3), (700, 100, 8)]
 
@@ -313,9 +322,10 @@ class TestPairBlocks:
                 M = np.minimum(A[:, None, 0], B[None, :, 0])
                 for k in range(1, d):
                     M = M * np.minimum(A[:, None, k], B[None, :, k])
-                assert l2._block_sum(A, B.T) == np.sum(M, dtype=np.longdouble)
+                assert l2._block_sum(A, B.T) == np.sum(M, axis=1, dtype=np.longdouble).sum()
                 M = M * va[:, None] * vb
-                assert l2._block_sum(A, B.T, va, vb) == np.sum(M, dtype=np.longdouble)
+                want = np.sum(M, axis=1, dtype=np.longdouble).sum()
+                assert l2._block_sum(A, B.T, va, vb) == want
         finally:
             np.setbufsize(old)
 

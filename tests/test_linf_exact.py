@@ -577,6 +577,15 @@ class TestDispatcher:
         assert (got.value, got.witness.tolist(), got.kind) == \
             full_grid_star(X, *_grid_axes(X.points)[::-1])
 
+    @pytest.mark.parametrize("method", ["Grid", "", "DEM", "4d"])
+    def test_unknown_method_is_refused(self, rng, method):
+        # DEM's estimate of 16^3 box evaluations fits the budget, so a
+        # fallback to DEM would answer
+        X = random_pointset(rng, 16, 4)
+        with pytest.raises(ValueError, match="auto, 1d, 2d, 3d, grid, dem") as exc:
+            star_by_method(X, method, 50_000_000)
+        assert repr(method) in str(exc.value)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_low_dimensions_honour_budget(self, rng, d):
         # 100 distinct points: the augmented grid has 101^d corners

@@ -39,6 +39,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             WeightedPointSet([np.inf], [[0.1]])
 
+    def test_weighted_rejects_no_points(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            WeightedPointSet(np.zeros(0), np.zeros((0, 2)))
+
 
 class TestVolume:
     def test_ones(self):
