@@ -19,8 +19,11 @@ Laurendeau (2012): a component-by-component (mu+lambda) evolutionary search
 for digit permutations of the generalized Halton sequence, scored by the
 modified L2 discrepancy.
 
-Quality reporting evaluates requested discrepancy measures per named point
-set, exact where the budget allows, falling back to bound intervals.
+The measure table ``MEASURES`` is the one place that maps each measure name
+of ``disc`` and ``report`` to the call it runs and the fields it records,
+with the options' defaults in ``OPTIONS``.  Quality reporting runs the
+table per named point set; the star discrepancy falls back to a bound
+interval where its exact search does not fit the budget.
 """
 
 from __future__ import annotations
@@ -28,14 +31,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import l2, lp
 from ._simplex import LPError, solve_lp
 from .generators import PermutationConfig, halton, primes, random_permutation
-from .linf_approx import TAConfig, _best_ta, cover_bounds
-from .linf_exact import star_exact
+from .linf_approx import TAConfig, _best_ta, cover_bounds, ga_lower_bound
+from .linf_exact import star_by_method, star_grid_enum
 from .pointset import (BudgetExceededError, _as_points, _critical_corners,
                        _grid_axes, _grid_cells, _grid_rows, _lanes)
 
@@ -373,9 +378,7 @@ def optimize_halton_permutations(d: int, n_points: int, mu: int, lam: int,
     chosen: list[np.ndarray] = []
 
     def fitness(perm_lists: list) -> float:
-        cfg = PermutationConfig(perm_lists)
-        X = halton(n_points, len(perm_lists), cfg)
-        return l2.modified_l2_sq(X)
+        return l2.modified_l2_sq(halton(n_points, len(perm_lists), PermutationConfig(perm_lists)))
 
     for j, p in enumerate(bases):
         identity = np.arange(p)
@@ -392,15 +395,13 @@ def optimize_halton_permutations(d: int, n_points: int, mu: int, lam: int,
             return cache[key]
 
         pop = [identity] + [np.array(random_permutation(p, rng)) for _ in range(mu - 1)]
-        pop = pop[:mu]
         fits = [fit(q) for q in pop]
         for _ in range(generations):
             offspring = []
             for _ in range(lam):
                 pa, pb = rng.integers(0, len(pop), size=2)
                 child = _crossover_permutations(pop[pa], pop[pb], rng)
-                child = _mutate_permutation(child, rng)
-                offspring.append(child)
+                offspring.append(_mutate_permutation(child, rng))
             allpop = pop + offspring
             allfits = fits + [fit(q) for q in offspring]
             order = sorted(range(len(allpop)), key=lambda i: allfits[i])[:mu]
@@ -416,8 +417,77 @@ def optimize_halton_permutations(d: int, n_points: int, mu: int, lam: int,
 
 
 # ---------------------------------------------------------------------------
-# quality report
+# the measure table and the quality report
 # ---------------------------------------------------------------------------
+
+# The options the measures read, with their defaults: ``disc`` takes each
+# from its flag of the same name, and ``quality_report`` overlays its keywords.
+OPTIONS = dict(method="auto", budget=50_000_000, delta=0.1, variant="improved",
+               iterations=10_000, restarts=1, mc=2, k=8, p=2, mu=8, lambda_c=8,
+               lambda_m=8, stagnation=50, seed=None, gstar=None, gamma=None)
+REPORT_MEASURES = "star-linf,star-l2"  # what ``report`` runs without --measures
+
+
+class Measure(NamedTuple):
+    run: Callable  # (X, options) -> the fields of its record
+    label: str = ""  # the method a report cell names where the fields name none
+    needs: tuple = ()  # of seed, gstar and gamma: the options the caller prepares
+
+
+def _squared(value: float) -> dict:
+    return dict(value=value, squared=True)
+
+
+def _star_linf(X, o) -> dict:
+    res = (star_by_method(X, o.method, o.budget) if o.gstar is None
+           else star_grid_enum(X, o.gstar, o.budget))
+    return dict(method=res.method, value=res.value, witness=res.witness, witness_kind=res.kind)
+
+
+def _weighted_l2(X, o) -> dict:
+    if o.gamma is None:
+        raise ValueError("weighted-l2 needs --gamma")
+    return _squared(l2.weighted_star_l2_sq(X, o.gamma))
+
+
+def _lp_even(X, o) -> dict:
+    gamma = np.ones(X.d) if o.gamma is None else o.gamma
+    return dict(p=o.p, value=lp.weighted_star_lp_pow(X, gamma, o.p, budget=o.budget),
+                squared=False, power=o.p)
+
+
+def _cover_upper(X, o) -> dict:
+    res = cover_bounds(X, o.delta, cap=o.budget)
+    return dict(lower=res.lower, upper=res.upper, delta=o.delta, witness=res.witness)
+
+
+def _ta_lower(X, o) -> dict:
+    res = _best_ta(X, TAConfig(o.iterations, mc=o.mc, k=o.k, seed=o.seed), o.restarts, o.variant)
+    return dict(variant=o.variant, lower=res.lower, upper=res.upper, iterations=o.iterations,
+                seed=o.seed, restarts=o.restarts, witness=res.witness)
+
+
+def _ga_lower(X, o) -> dict:
+    res = ga_lower_bound(X, o.mu, o.lambda_c, o.lambda_m, o.stagnation, o.seed)
+    return dict(lower=res.lower, upper=res.upper, mu=o.mu, lambda_c=o.lambda_c,
+                lambda_m=o.lambda_m, stagnation=o.stagnation, seed=o.seed,
+                witness=res.witness)
+
+
+# Each entry looks its library function up when it runs, so a wrapper put on
+# that function's name (a profiler's, say) sees the call.
+MEASURES = {
+    "star-linf": Measure(_star_linf, needs=("gstar",)),
+    "star-l2": Measure(lambda X, o: _squared(l2.warnock_star_l2_sq(X)), "warnock"),
+    "extreme-l2": Measure(lambda X, o: _squared(l2.extreme_l2_sq(X)), "direct"),
+    "modified-l2": Measure(lambda X, o: _squared(l2.modified_l2_sq(X)), "warnock-weighted"),
+    "weighted-l2": Measure(_weighted_l2, "warnock-weighted", ("gamma",)),
+    "lp-even": Measure(_lp_even, "direct-p4", ("gamma",)),
+    "cover-upper": Measure(_cover_upper, "cover"),
+    "ta-lower": Measure(_ta_lower, "ta-improved", ("seed",)),
+    "ga-lower": Measure(_ga_lower, "ga", ("seed",)),
+}
+
 
 @dataclass(frozen=True)
 class ReportCell:
@@ -432,62 +502,54 @@ class ReportCell:
     error: str | None = None
 
 
-def quality_report(sets: dict, measures: list, exact_budget: int = 50_000_000,
-                   delta: float = 0.1, ta_iterations: int = 2000,
+def _star_bracket(X, o, cell: dict) -> None:
+    """The star discrepancy's interval where the exact search does not fit:
+    TA's lower bound, then the cover's upper bound, or 1.0 where the cover
+    does not fit either.  Each goes into ``cell`` when found, so a failing
+    cover leaves the lower bound in the error cell."""
+    cell["seed"] = o.seed
+    cell["lower"] = _ta_lower(X, o)["lower"]
+    try:
+        cell["upper"] = _cover_upper(X, o)["upper"]
+    except BudgetExceededError:
+        cell["upper"] = 1.0
+    cell["method"] = "ta-lower/cover-upper"
+
+
+def quality_report(sets: dict, measures: list, exact_budget: int = OPTIONS["budget"],
+                   delta: float = OPTIONS["delta"], ta_iterations: int = 2000,
                    restarts: int = 3, seed: int = 0) -> list[ReportCell]:
     """Evaluate each requested measure on each named point set.
 
-    Exact methods run where the budget allows; the star discrepancy falls
-    back to a [heuristic lower, cover upper] interval otherwise.  Per-cell
-    failures are recorded in the cell, never raised.
+    Every measure runs its ``MEASURES`` entry with the ``disc`` defaults,
+    overlaid by these keywords and p = 4; the star discrepancy falls back to
+    a [TA lower, cover upper] interval where the exact search does not fit
+    ``exact_budget``.  Per-cell failures are recorded in the cell, never
+    raised, and an error cell's method is its measure.
     """
+    o = SimpleNamespace(**OPTIONS | dict(budget=exact_budget, delta=delta, p=4, seed=seed,
+                                         iterations=ta_iterations, restarts=restarts))
     out: list[ReportCell] = []
     for name in sorted(sets):
         X = sets[name]
         for measure in measures:
             t0 = time.perf_counter()
-            value = lower = upper = None
-            method = measure
-            cell_seed = None
-            err = None
+            cell = {"method": measure}
             try:
-                if measure == "star-linf":
-                    try:
-                        res = star_exact(X, exact_budget)
-                        value, method = res.value, res.method
-                    except BudgetExceededError:
-                        cell_seed = seed
-                        lower = _best_ta(X, TAConfig(ta_iterations, seed=seed), restarts).lower
-                        try:
-                            upper = cover_bounds(X, delta, cap=exact_budget).upper
-                        except BudgetExceededError:
-                            upper = 1.0
-                        method = "ta-lower/cover-upper"
-                elif measure == "star-l2":
-                    value = l2.warnock_star_l2_sq(X)
-                    method = "warnock"
-                elif measure == "extreme-l2":
-                    value = l2.extreme_l2_sq(X)
-                    method = "direct"
-                elif measure == "modified-l2":
-                    value = l2.modified_l2_sq(X)
-                    method = "warnock-weighted"
-                elif measure == "lp-even":
-                    value = lp.weighted_star_lp_pow(X, np.ones(X.d), 4)
-                    method = "direct-p4"
-                elif measure == "cover-upper":
-                    res = cover_bounds(X, delta, cap=exact_budget)
-                    lower, upper = res.lower, res.upper
-                    method = "cover"
-                elif measure == "ta-lower":
-                    cell_seed = seed
-                    lower = _best_ta(X, TAConfig(ta_iterations, seed=seed), restarts).lower
-                    upper = 1.0
-                    method = "ta-improved"
-                else:
+                if measure not in MEASURES:
                     raise ValueError(f"unknown measure {measure!r}")
+                row = MEASURES[measure]
+                if "seed" in row.needs:
+                    cell["seed"] = seed
+                try:
+                    cell.update({"method": row.label, **row.run(X, o)})
+                except BudgetExceededError:
+                    if measure != "star-linf":
+                        raise
+                    _star_bracket(X, o, cell)
             except Exception as exc:  # recorded, never raised
-                err = f"{type(exc).__name__}: {exc}"
-            out.append(ReportCell(name, measure, value, lower, upper, method,
-                                  cell_seed, time.perf_counter() - t0, err))
+                cell["error"] = f"{type(exc).__name__}: {exc}"
+            out.append(ReportCell(name, measure, cell.get("value"), cell.get("lower"),
+                                  cell.get("upper"), cell["method"], cell.get("seed"),
+                                  time.perf_counter() - t0, cell.get("error")))
     return out

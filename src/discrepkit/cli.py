@@ -23,19 +23,20 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from . import l2, lp
 from ._simplex import LPError
-from .applications import (DiscreteMeasure, backward_selection, forward_selection,
-                           optimize_halton_permutations, quality_report,
-                           two_measure_star_disc)
+from .applications import (MEASURES, OPTIONS, REPORT_MEASURES, DiscreteMeasure,
+                           backward_selection, forward_selection,
+                           optimize_halton_permutations, quality_report, two_measure_star_disc)
 from .generators import (Graph, PermutationConfig, dominating_set_instance, halton,
                          midpoint_set, rank1_lattice)
-from .linf_approx import TAConfig, _best_ta, cover_bounds, ga_lower_bound
-from .linf_exact import MarginalCDF, star_1d, star_by_method, star_dem, star_grid_enum
+from .linf_approx import cover_bounds
+from .linf_exact import MarginalCDF, star_1d, star_dem, star_grid_enum
 from .pointset import (BudgetExceededError, PointSet, WeightedPointSet,
                        local_discrepancy, snap_down, snap_up)
 
@@ -208,12 +209,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _parse_list(text: str, kind=float) -> list:
+    return [kind(tok) for tok in text.replace(",", " ").split()]
 
 
 def _parse_edges(text: str) -> list[tuple[int, int]]:
@@ -249,32 +246,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     di = sub.add_parser("disc", help="compute a discrepancy measure")
     di.add_argument("--input", required=True)
-    di.add_argument("--measure", required=True,
-                    choices=("star-linf", "star-l2", "extreme-l2", "modified-l2",
-                             "weighted-l2", "lp-even", "cover-upper", "ta-lower",
-                             "ga-lower"))
-    di.add_argument("--method", default="auto",
-                    choices=("auto", "1d", "2d", "3d", "grid", "dem"))
-    di.add_argument("--stable", action="store_true",
-                    help="accepted for older scripts: star-l2 runs the same "
-                         "formula with or without it")
+    di.add_argument("--measure", required=True, choices=tuple(MEASURES))
+    di.add_argument("--method", choices=("auto", "1d", "2d", "3d", "grid", "dem"))
+    di.add_argument("--stable", action="store_true", help="accepted for older scripts; no effect")
     di.add_argument("--gstar", help="marginal table file for the G-star variant "
                                     "(grid enumeration; --method auto or grid)")
     di.add_argument("--gamma", help="product weights, comma separated")
-    di.add_argument("--p", type=int, default=2)
-    di.add_argument("--delta", type=float, default=0.1)
-    di.add_argument("--variant", choices=("basic", "improved"), default="improved")
-    di.add_argument("--iterations", type=int, default=10000)
-    di.add_argument("--restarts", type=int, default=1)
-    di.add_argument("--mc", type=int, default=2)
-    di.add_argument("--k", type=int, default=8,
-                    help="grid radius of --variant basic; improved ignores it")
-    di.add_argument("--mu", type=int, default=8)
-    di.add_argument("--lambda-c", type=int, default=8, dest="lambda_c")
-    di.add_argument("--lambda-m", type=int, default=8, dest="lambda_m")
-    di.add_argument("--stagnation", type=int, default=50)
+    di.add_argument("--p", type=int)
+    di.add_argument("--delta", type=float)
+    di.add_argument("--variant", choices=("basic", "improved"))
+    di.add_argument("--iterations", type=int)
+    di.add_argument("--restarts", type=int)
+    di.add_argument("--mc", type=int)
+    di.add_argument("--k", type=int, help="grid radius of --variant basic; improved ignores it")
+    di.add_argument("--mu", type=int)
+    di.add_argument("--lambda-c", type=int, dest="lambda_c")
+    di.add_argument("--lambda-m", type=int, dest="lambda_m")
+    di.add_argument("--stagnation", type=int)
     di.add_argument("--seed", type=int)
-    di.add_argument("--budget", type=int, default=50_000_000)
+    di.add_argument("--budget", type=int)
+    di.set_defaults(**OPTIONS)
 
     r = sub.add_parser("reduce", help="scenario reduction of a discrete measure")
     r.add_argument("--input", required=True)
@@ -293,12 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--seed", type=int)
 
     q = sub.add_parser("report", help="quality report over a manifest of point sets")
-    q.add_argument("--manifest", required=True,
-                   help="lines of: <name> <pointset file>")
-    q.add_argument("--measures", default="star-linf,star-l2")
+    q.add_argument("--manifest", required=True, help="lines of: <name> <pointset file>")
+    q.add_argument("--measures", default=REPORT_MEASURES)
     q.add_argument("--seed", type=int)
-    q.add_argument("--budget", type=int, default=50_000_000)
-    q.add_argument("--delta", type=float, default=0.1)
+    q.add_argument("--budget", type=int, default=OPTIONS["budget"])
+    q.add_argument("--delta", type=float, default=OPTIONS["delta"])
     q.add_argument("--iterations", type=int, default=2000)
     q.add_argument("--restarts", type=int, default=3)
 
@@ -323,86 +313,45 @@ class SystemExit2(Exception):
     """Usage error discovered after argparse."""
 
 
+# the options each generator needs
+_GEN_NEEDS = {"midpoint": ("n",), "halton": ("n", "d"), "ghalton": ("n", "d"),
+              "lattice": ("n", "z"), "domset": ("vertices",)}
+
+
 def _cmd_gen(args, report: RunReport) -> PointSet:
-    t = args.type
+    t, needs = args.type, _GEN_NEEDS[args.type]
+    if any(getattr(args, k) in (None, "") for k in needs):
+        raise SystemExit2(f"gen --type {t} needs " + " and ".join("--" + k for k in needs))
     if t == "midpoint":
-        if args.n is None:
-            raise SystemExit2("gen --type midpoint needs --n")
         X = midpoint_set(args.n)
-    elif t == "halton":
-        if args.n is None or args.d is None:
-            raise SystemExit2("gen --type halton needs --n and --d")
-        X = halton(args.n, args.d)
-    elif t == "ghalton":
-        if args.n is None or args.d is None:
-            raise SystemExit2("gen --type ghalton needs --n and --d")
-        if args.perms == "reverse":
-            cfg = PermutationConfig.reverse(args.d)
-        else:
-            cfg = PermutationConfig.random(args.d, _need_seed(args, report))
-        X = halton(args.n, args.d, cfg)
     elif t == "lattice":
-        if args.n is None or not args.z:
-            raise SystemExit2("gen --type lattice needs --n and --z")
-        X = rank1_lattice(args.n, _parse_int_list(args.z))
-    else:  # domset
-        if args.vertices is None:
-            raise SystemExit2("gen --type domset needs --vertices")
-        G = Graph(args.vertices, _parse_edges(args.edges))
-        X = dominating_set_instance(G, args.alpha, args.beta)
+        X = rank1_lattice(args.n, _parse_list(args.z, int))
+    elif t == "domset":
+        X = dominating_set_instance(Graph(args.vertices, _parse_edges(args.edges)),
+                                    args.alpha, args.beta)
+    else:
+        X = halton(args.n, args.d, None if t == "halton"
+                   else PermutationConfig.reverse(args.d) if args.perms == "reverse"
+                   else PermutationConfig.random(args.d, _need_seed(args, report)))
     report.add(task="gen", type=t, n=X.n, d=X.d)
     return X
 
 
 def _cmd_disc(args, report: RunReport) -> None:
     X = read_pointset(args.input)
-    m = args.measure
+    measure = MEASURES[args.measure]
     t0 = time.perf_counter()
-    if m == "star-linf":
+    if "seed" in measure.needs:
+        args.seed = _need_seed(args, report)
+    if "gstar" in measure.needs:
         if args.gstar and args.method not in ("auto", "grid"):
             raise SystemExit2(f"--gstar runs grid enumeration; --method {args.method} "
                               "cannot be combined with it")
-        if args.gstar:
-            res = star_grid_enum(X, read_marginals(args.gstar), args.budget)
-        else:
-            res = star_by_method(X, args.method, args.budget)
-        fields = dict(method=res.method, value=res.value, witness=res.witness,
-                      witness_kind=res.kind)
-    elif m in ("star-l2", "extreme-l2", "modified-l2", "weighted-l2"):
-        if m == "star-l2":
-            v = l2.warnock_star_l2_sq(X)
-        elif m == "extreme-l2":
-            v = l2.extreme_l2_sq(X)
-        elif m == "modified-l2":
-            v = l2.modified_l2_sq(X)
-        else:
-            if not args.gamma:
-                raise SystemExit2("weighted-l2 needs --gamma")
-            v = l2.weighted_star_l2_sq(X, _parse_float_list(args.gamma))
-        fields = dict(value=v, squared=True)
-    elif m == "lp-even":
-        gamma = _parse_float_list(args.gamma) if args.gamma else np.ones(X.d)
-        v = lp.weighted_star_lp_pow(X, gamma, args.p, budget=args.budget)
-        fields = dict(p=args.p, value=v, squared=False, power=args.p)
-    elif m == "cover-upper":
-        res = cover_bounds(X, args.delta, cap=args.budget)
-        fields = dict(lower=res.lower, upper=res.upper, delta=args.delta,
-                      witness=res.witness)
-    elif m == "ta-lower":
-        seed = _need_seed(args, report)
-        best = _best_ta(X, TAConfig(args.iterations, mc=args.mc, k=args.k, seed=seed),
-                        args.restarts, args.variant)
-        fields = dict(variant=args.variant, lower=best.lower, upper=best.upper,
-                      iterations=args.iterations, seed=seed, restarts=args.restarts,
-                      witness=best.witness)
-    else:  # ga-lower
-        seed = _need_seed(args, report)
-        res = ga_lower_bound(X, args.mu, args.lambda_c, args.lambda_m,
-                             args.stagnation, seed)
-        fields = dict(lower=res.lower, upper=res.upper, mu=args.mu, lambda_c=args.lambda_c,
-                      lambda_m=args.lambda_m, stagnation=args.stagnation, seed=seed,
-                      witness=res.witness)
-    report.add(task="disc", measure=m, **fields, wall_time=time.perf_counter() - t0)
+        args.gstar = read_marginals(args.gstar) if args.gstar else None
+    if "gamma" in measure.needs:
+        args.gamma = _parse_list(args.gamma) if args.gamma else None
+    report.add(task="disc", measure=args.measure, **measure.run(X, args),
+               wall_time=time.perf_counter() - t0)
 
 
 def _cmd_reduce(args, report: RunReport) -> None:
@@ -410,9 +359,8 @@ def _cmd_reduce(args, report: RunReport) -> None:
     fn = forward_selection if args.method == "forward" else backward_selection
     res = fn(P, args.n, exact_inner=args.exact_inner, budget=args.budget)
     check = two_measure_star_disc(P, res.measure, args.budget)
-    report.add(task="reduce", method=args.method, n=args.n,
-               exact_inner=args.exact_inner, distance=res.distance,
-               recomputed_distance=check,
+    report.add(task="reduce", method=args.method, n=args.n, exact_inner=args.exact_inner,
+               distance=res.distance, recomputed_distance=check,
                support=",".join(str(i) for i in res.support_idx))
     for size, dist in res.trace:
         report.add(trace_size=size, trace_distance=dist)
@@ -444,23 +392,19 @@ def _cmd_report(args, report: RunReport) -> None:
                              "given twice")
         sets[tokens[0]] = read_pointset(tokens[1])
     measures = [m.strip() for m in args.measures.split(",") if m.strip()]
-    cells = quality_report(sets, measures, exact_budget=args.budget,
-                           delta=args.delta, ta_iterations=args.iterations,
-                           restarts=args.restarts, seed=seed)
-    for cell in cells:
-        rec = {"set": cell.set_name, "measure": cell.measure, "method": cell.method}
-        for key in ("value", "lower", "upper", "seed", "error"):
-            if getattr(cell, key) is not None:
-                rec[key] = getattr(cell, key)
-        rec["wall_time"] = cell.wall_time
-        report.add(**rec)
+    for c in quality_report(sets, measures, exact_budget=args.budget, delta=args.delta,
+                            ta_iterations=args.iterations, restarts=args.restarts, seed=seed):
+        given = {k: v for k in ("value", "lower", "upper", "seed", "error")
+                 if (v := getattr(c, k)) is not None}
+        report.add(set=c.set_name, measure=c.measure, method=c.method, **given,
+                   wall_time=c.wall_time)
 
 
 def _cmd_selftest(args, report: RunReport) -> int:
     """Small cross-algorithm oracle web; exits nonzero on any violation."""
     rng = np.random.default_rng(args.seed)
-    failures = 0
     for t in range(args.instances):
+        fail = partial(report.add, instance=t, status="FAIL")
         d = int(rng.integers(1, 5))
         n = int(rng.integers(1, 16))
         X = PointSet(rng.random((n, d)))
@@ -469,35 +413,27 @@ def _cmd_selftest(args, report: RunReport) -> int:
         if d == 1:
             vals["1d"] = star_1d(X).value
         spread = max(vals.values()) - min(vals.values())
-        ok = spread <= 1e-12
-        if not ok:
-            failures += 1
-            report.add(instance=t, status="FAIL", spread=spread, **vals)
+        if not spread <= 1e-12:
+            fail(spread=spread, **vals)
         cb = cover_bounds(X, 0.25)
         if not (cb.lower <= ref.value + 1e-12 and ref.value <= cb.upper + 1e-12):
-            failures += 1
-            report.add(instance=t, status="FAIL", reason="cover sandwich",
-                       lower=cb.lower, exact=ref.value, upper=cb.upper)
+            fail(reason="cover sandwich", lower=cb.lower, exact=ref.value, upper=cb.upper)
         fast = l2.star_l2_sq_fast(WeightedPointSet.equal_weights(X))
         direct = l2.warnock_star_l2_sq(X)
         if abs(fast - direct) > 1e-10 * max(abs(direct), 1e-30):
-            failures += 1
-            report.add(instance=t, status="FAIL", reason="l2 fast vs direct",
-                       fast=fast, direct=direct)
+            fail(reason="l2 fast vs direct", fast=fast, direct=direct)
         p2 = lp.weighted_star_lp_pow(X, np.ones(d), 2)
         w2 = l2.weighted_star_l2_sq(X, np.ones(d))
         if abs(p2 - w2) > 1e-10:
-            failures += 1
-            report.add(instance=t, status="FAIL", reason="lp p=2 vs weighted l2",
-                       lp=p2, l2=w2)
+            fail(reason="lp p=2 vs weighted l2", lp=p2, l2=w2)
         y = rng.random(d)
         before = local_discrepancy(y, X)
         dn = local_discrepancy(snap_down(y, X), X)
         up = local_discrepancy(snap_up(y, X, int(rng.integers(0, 2**31))), X)
         if (dn.closed_count != before.closed_count or dn.delta_bar < before.delta_bar
                 or up.open_count != before.open_count or up.delta < before.delta):
-            failures += 1
-            report.add(instance=t, status="FAIL", reason="snapping contract")
+            fail(reason="snapping contract")
+    failures = sum(rec.get("status") == "FAIL" for rec in report.records)
     report.add(task="selftest", instances=args.instances, failures=failures)
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 

@@ -8,7 +8,8 @@ import oracles
 from conftest import random_pointset
 from discrepkit import (BudgetExceededError, DiscreteMeasure, PermutationConfig,
                         PointSet, applications, backward_selection,
-                        forward_selection, halton, midpoint_set, modified_l2_sq,
+                        forward_selection, ga_lower_bound, halton, midpoint_set,
+                        modified_l2_sq,
                         optimal_inner_weights, optimize_halton_permutations,
                         quality_report, star_dem, two_measure_star_disc)
 from discrepkit import pointset
@@ -544,6 +545,25 @@ class TestQualityReport:
     def test_errors_recorded_not_raised(self):
         cells = quality_report({"m": midpoint_set(2)}, ["no-such-measure"])
         assert cells[0].error is not None
+
+    def test_lp_even_cell_honours_the_budget(self):
+        X = PointSet(np.random.default_rng(35).random((12, 3)))
+        cell = quality_report({"x": X}, ["lp-even"], exact_budget=1000)[0]
+        assert (cell.value, cell.method) == (None, "lp-even")
+        assert cell.error == ("BudgetExceededError: direct L_p evaluation needs about 85683 "
+                              "operations, exceeding the budget of 1000")
+
+    def test_ga_lower_cell_runs_with_the_disc_defaults(self):
+        X = PointSet(np.random.default_rng(35).random((12, 3)))
+        cell = quality_report({"x": X}, ["ga-lower"], seed=4)[0]
+        res = ga_lower_bound(X, 8, 8, 8, 50, 4)  # mu, lambda_c, lambda_m, stagnation, seed
+        assert (cell.value, cell.lower, cell.upper) == (None, res.lower, res.upper)
+        assert (cell.method, cell.seed, cell.error) == ("ga", 4, None)
+
+    def test_weighted_l2_cell_needs_gamma(self):
+        cell = quality_report({"m": midpoint_set(2)}, ["weighted-l2"])[0]
+        assert (cell.method, cell.seed) == ("weighted-l2", None)
+        assert cell.error == "ValueError: weighted-l2 needs --gamma"
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(31)

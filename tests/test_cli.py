@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from discrepkit import (DiscreteMeasure, Graph, PointSet, TAConfig, cover_bounds,
                         dominating_set_instance, ga_lower_bound, halton, l2, lp,
                         midpoint_set, rank1_lattice, star_dem, star_exact, star_grid_enum)
-from discrepkit.cli import (ParseError, _pointset_text, read_marginals, read_measure,
-                            read_pointset, run_command, write_measure,
+from discrepkit.applications import MEASURES
+from discrepkit.cli import (ParseError, _build_parser, _pointset_text, read_marginals,
+                            read_measure, read_pointset, run_command, write_measure,
                             write_pointset)
 from discrepkit.linf_approx import _best_ta
 from discrepkit.linf_exact import star_by_method
@@ -635,3 +637,36 @@ def test_report_star_cell_names_what_ran(tmp_path, X, budget, ran):
     assert code == 0
     assert _fields(rep.records[0]) == {"set": "x", "measure": "star-linf",
                                        "method": ran, "value": res.value}
+
+
+# ---------------------------------------------------------------------------
+# one measure table behind disc and report
+# ---------------------------------------------------------------------------
+
+def test_disc_measure_choices_are_the_table():
+    [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    [measure] = [a for a in sub.choices["disc"]._actions if a.dest == "measure"]
+    assert list(measure.choices) == list(MEASURES)
+
+
+@pytest.mark.parametrize("measure", list(MEASURES))
+def test_report_cell_equals_the_disc_record(tmp_path, measure):
+    pts = tmp_path / "x.txt"
+    write_pointset(str(pts), X35)
+    man = tmp_path / "manifest.txt"
+    man.write_text(f"x {pts}\n")
+    code, rep = run(["report", "--manifest", str(man), "--measures", measure, "--seed", "5"])
+    assert code == 0
+    [cell] = rep.records
+    # report's own options: --iterations 2000, --restarts 3 and p = 4; the rest are disc's
+    code, disc = _disc(tmp_path, X35, "--measure", measure, "--seed", "5",
+                       "--iterations", "2000", "--restarts", "3", "--p", "4")
+    if measure == "weighted-l2":  # report has no --gamma, so both refuse alike
+        assert code == 2 and cell["error"] == "ValueError: " + disc.records[0]["error"]
+        return
+    assert code == 0
+    [rec] = disc.records
+    assert "error" not in cell
+    assert cell["method"] == rec.get("method", MEASURES[measure].label)
+    for key in ("value", "lower", "upper"):
+        assert cell.get(key) == rec.get(key)

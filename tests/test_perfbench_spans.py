@@ -1,14 +1,17 @@
 """The benchmark's tracer (``perfbench/spans.py``) still fits the package.
 
-Every function it wraps must exist under its module and name, and installing
+Every function it wraps must exist under its module and name, installing
 then uninstalling the tracer must leave every ``discrepkit`` namespace as it
-was.  The tracer file is only read, never written.
+was, and every measure of ``disc`` and ``report`` must open the span of the
+library function it runs.  The tracer file is only read, never written.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -66,3 +69,55 @@ def test_install_uninstall_leaves_nothing_wrapped():
     after = _namespaces()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def _traced(run):
+    """The names of the spans ``run()`` opens, with the tracer installed."""
+    spans = _load_spans()
+    for mod, _ in spans.TRACED:
+        importlib.import_module("discrepkit." + mod)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    return {s[0] for s in tracer.spans}
+
+
+# (measure and options, the span it must open)
+MEASURE_SPANS = [
+    (["star-linf"], "linf_exact.star_grid_enum"),
+    (["star-l2"], "l2.warnock_star_l2_sq"),
+    (["extreme-l2"], "l2.extreme_l2_sq"),
+    (["modified-l2"], "l2.weighted_star_l2_sq"),
+    (["weighted-l2", "--gamma", "1,0.5"], "l2.weighted_star_l2_sq"),
+    (["lp-even", "--p", "4"], "lp.weighted_star_lp_pow"),
+    (["cover-upper", "--delta", "0.25"], "linf_approx.cover_bounds"),
+    (["ta-lower", "--iterations", "50"], "linf_approx.ta_improved"),
+    (["ta-lower", "--iterations", "50", "--variant", "basic"], "linf_approx.ta_basic"),
+    (["ga-lower", "--stagnation", "3"], "linf_approx.ga_lower_bound"),
+]
+
+
+@pytest.mark.parametrize("argv, span", MEASURE_SPANS, ids=[" ".join(c[0]) for c in MEASURE_SPANS])
+def test_each_disc_measure_opens_its_span(tmp_path, argv, span):
+    from discrepkit import cli, halton
+    pts = tmp_path / "pts.txt"
+    cli.write_pointset(str(pts), halton(8, 2))
+    codes = []
+    names = _traced(lambda: codes.append(cli.run_command(
+        ["disc", "--input", str(pts), "--seed", "1", "--measure", *argv])[0]))
+    assert codes == [0]
+    assert span in names
+
+
+def test_each_report_measure_opens_its_span():
+    from discrepkit import applications, halton
+    measures = [m for m in applications.MEASURES if m != "weighted-l2"]  # needs --gamma
+    cells = []
+    names = _traced(lambda: cells.extend(applications.quality_report(
+        {"h": halton(8, 2)}, measures, ta_iterations=50, restarts=1)))
+    assert [c.error for c in cells] == [None] * len(measures)
+    assert {span for argv, span in MEASURE_SPANS if argv[0] != "weighted-l2"
+            and "basic" not in argv} <= names

@@ -2,8 +2,8 @@
 
 A script is loaded by path, which runs its imports and top-level
 definitions but not its ``main``, so a renamed or deleted library name fails
-here instead of in the next hand-run of the script.  The scripts are only
-read, never written.
+here instead of in the next hand-run of the script.  The quality-report demo
+is small enough to run whole.  The scripts are only read, never written.
 """
 
 import importlib.util
@@ -19,8 +19,7 @@ def test_scripts_found():
     assert SCRIPTS
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
-def test_script_imports(path):
+def _load(path):
     spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     mod = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
@@ -29,4 +28,18 @@ def test_script_imports(path):
         spec.loader.exec_module(mod)
     finally:
         sys.dont_write_bytecode = saved
-    assert callable(mod.main)
+    return mod
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    assert callable(_load(path).main)
+
+
+def test_quality_report_demo_runs(monkeypatch, capsys):
+    [path] = [p for p in SCRIPTS if p.name == "quality_report_demo.py"]
+    monkeypatch.setattr(sys, "argv", [path.name, "--n", "8", "--d", "2"])
+    _load(path).main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 4 * 3  # header, rule, then 4 sets by 3 measures
+    assert not any("error:" in line for line in lines)
